@@ -106,13 +106,15 @@ def test_cache_hit_rate_and_replay_cost(report):
     lookups = (after["hits"] - before["hits"]
                + after["misses"] - before["misses"])
     hit_rate = (after["hits"] - before["hits"]) / lookups
+    cold_calls = cold.stats()["oracle_calls"]
+    warm_calls = warm.stats()["oracle_calls"]
     report(f"engine cache bench: cold {cold_s * 1e3:.0f} ms"
-           f" ({cold.oracle_calls} oracle calls), warm"
-           f" {warm_s * 1e3:.1f} ms ({warm.oracle_calls} oracle"
+           f" ({cold_calls} oracle calls), warm"
+           f" {warm_s * 1e3:.1f} ms ({warm_calls} oracle"
            f" calls), hit rate {hit_rate:.0%},"
            f" replay win {cold_s / max(warm_s, 1e-9):.0f}x")
     assert warm_values == cold_values
-    assert warm.oracle_calls == 0
+    assert warm_calls == 0
     assert hit_rate == 1.0
     assert warm_s < cold_s / 10
 

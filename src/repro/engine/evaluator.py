@@ -42,9 +42,14 @@ Every search loop and suite run in the repo used to own a private
   elementwise, so any chunking of the pending set computes the same
   results.
 
-Telemetry: oracle calls, cache hits/misses, batch-path hits/fallbacks,
-chunk counts/occupancy, and per-candidate wall times are published
-through :mod:`repro.telemetry` when a registry or tracer is supplied.
+Telemetry: the evaluator's counters live in one place, a
+:class:`~repro.telemetry.metrics.MetricsRegistry` (the caller's, or a
+private one).  Oracle calls, cache hits, batch-path hits/fallbacks,
+shards, chunk counts/occupancy, and per-candidate wall times are
+counted there once, as they happen, under ``engine.*`` (and
+``engine.tier.<name>.*`` for explicit fidelity tiers);
+:meth:`Evaluator.stats` and :meth:`Evaluator.tier_stats` are views
+over those metrics.  Per-batch wall spans go to the tracer.
 """
 
 from __future__ import annotations
@@ -137,7 +142,10 @@ class Evaluator:
             oracle pass (None = the whole pending set at once).  Bounds
             the peak working set without changing values, order, seeds,
             or cache keys.
-        metrics: Registry receiving ``engine.*`` counters/histograms.
+        metrics: The registry the ``engine.*`` counters/histograms
+            live in (a private one by default).  Evaluators sharing a
+            registry share their counts, so each needs its own
+            registry for :meth:`stats` to report it alone.
         tracer: Tracer receiving per-batch wall spans (defaults to the
             process-global tracer).
     """
@@ -159,18 +167,12 @@ class Evaluator:
         self.seed = int(seed)
         self.seeded = bool(seeded)
         self.chunk_size = int(chunk_size) if chunk_size else None
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None \
+            else MetricsRegistry()
         self._tracer = tracer
         self._context_fp = fingerprint(context) if context is not None \
             else ""
         self._key_suffixes: Dict[Optional[str], str] = {}
-        self.oracle_calls = 0
-        self.batches = 0
-        self.batch_hits = 0
-        self.batch_fallbacks = 0
-        self.batch_shards = 0
-        self.chunks = 0
-        self._tier_counters: Dict[str, Dict[str, int]] = {}
         self._tiers_cache: Optional[Tuple[Any, ...]] = None
 
     # -- content addressing -------------------------------------------
@@ -307,8 +309,8 @@ class Evaluator:
         if pending:
             order = list(pending)
             step = self.chunk_size or len(order)
-            chunks = 0
-            for lo in range(0, len(order), step):
+            windows = range(0, len(order), step)
+            for lo in windows:
                 window = order[lo:lo + step]
                 outcomes = self._run_pending(
                     [pending[k] for k in window],
@@ -320,23 +322,15 @@ class Evaluator:
                     values[key] = value
                     wall[key] = wall_s
                     fresh_keys.add(key)
-                chunks += 1
-            self.oracle_calls += len(order)
-            self.chunks += chunks
-            if self.metrics is not None and self.chunk_size is not None:
-                self.metrics.counter("engine.chunks").inc(chunks)
+            self.metrics.counter("engine.oracle_passes").inc()
+            if self.chunk_size is not None:
+                self.metrics.counter("engine.chunks").inc(len(windows))
                 occupancy = self.metrics.histogram(
                     "engine.chunk_occupancy")
-                for lo in range(0, len(order), step):
+                for lo in windows:
                     occupancy.record(
                         min(step, len(order) - lo) / step)
-        self.batches += 1
-        if tier_name is not None:
-            counters = self._tier_counter(tier_name)
-            counters["candidates"] += len(candidates)
-            counters["oracle_calls"] += len(pending)
-            counters["cache_hits"] += len(candidates) - len(pending)
-        self._publish(len(candidates), len(pending), wall, tier_name)
+        self._publish(len(candidates), len(pending), tier_name)
 
         results: List[EvalResult] = []
         seen: set = set()
@@ -358,60 +352,53 @@ class Evaluator:
                      batch_fn: Optional[Callable[..., Any]],
                      tier_name: Optional[str]
                      ) -> List[Tuple[Any, float]]:
+        walls = [self.metrics.histogram("engine.eval_wall_s")]
+        if tier_name is not None:
+            walls.append(self.metrics.histogram(
+                f"engine.tier.{tier_name}.eval_wall_s"))
         if batch_fn is not None:
             started = time.perf_counter()
             try:
                 values = self._call_batch(batch_fn, candidates, seeds)
             except BatchFallback:
-                self.batch_fallbacks += len(candidates)
-                if tier_name is not None:
-                    self._tier_counter(tier_name)["batch_fallbacks"] \
-                        += len(candidates)
-                if self.metrics is not None:
-                    self.metrics.counter("engine.batch_fallbacks").inc(
-                        len(candidates))
-                    if tier_name is not None:
-                        self.metrics.counter(
-                            f"engine.tier.{tier_name}.batch_fallbacks"
-                        ).inc(len(candidates))
+                self._count("batch_fallbacks", len(candidates),
+                            tier_name)
             else:
                 if len(values) != len(candidates):
                     raise EngineError(
                         f"evaluate_batch returned {len(values)} values"
                         f" for {len(candidates)} candidates")
                 elapsed = time.perf_counter() - started
-                self.batch_hits += len(values)
-                if tier_name is not None:
-                    self._tier_counter(tier_name)["batch_hits"] \
-                        += len(values)
-                if self.metrics is not None:
-                    self.metrics.counter("engine.batch_hits").inc(
-                        len(values))
-                    if tier_name is not None:
-                        self.metrics.counter(
-                            f"engine.tier.{tier_name}.batch_hits"
-                        ).inc(len(values))
+                self._count("batch_hits", len(values), tier_name)
                 share = elapsed / len(values) if values else 0.0
+                # One even share per candidate: one O(1) record.
+                for histogram in walls:
+                    histogram.record(share, len(values))
                 return [(value, share) for value in values]
         if self.jobs == 1 or len(candidates) == 1:
-            return [_timed_call(scalar_fn, candidate, seed,
-                                self.seeded)
-                    for candidate, seed in zip(candidates, seeds)]
-        try:
-            with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                return list(pool.map(
-                    _timed_call,
-                    [scalar_fn] * len(candidates),
-                    candidates,
-                    seeds,
-                    [self.seeded] * len(candidates),
-                ))
-        except (AttributeError, TypeError) as error:
-            # Most commonly: an unpicklable closure objective.
-            raise EngineError(
-                f"parallel evaluation (jobs={self.jobs}) requires a"
-                f" picklable objective and candidates: {error}"
-            ) from error
+            outcomes = [_timed_call(scalar_fn, candidate, seed,
+                                    self.seeded)
+                        for candidate, seed in zip(candidates, seeds)]
+        else:
+            try:
+                with ProcessPoolExecutor(max_workers=self.jobs) as pool:
+                    outcomes = list(pool.map(
+                        _timed_call,
+                        [scalar_fn] * len(candidates),
+                        candidates,
+                        seeds,
+                        [self.seeded] * len(candidates),
+                    ))
+            except (AttributeError, TypeError) as error:
+                # Most commonly: an unpicklable closure objective.
+                raise EngineError(
+                    f"parallel evaluation (jobs={self.jobs}) requires a"
+                    f" picklable objective and candidates: {error}"
+                ) from error
+        for histogram in walls:
+            for _, wall_s in outcomes:
+                histogram.record(wall_s)
+        return outcomes
 
     def _call_batch(self, batch_fn: Callable[..., Any],
                     candidates: List[Any],
@@ -454,63 +441,68 @@ class Evaluator:
                             f"evaluate_batch shard returned"
                             f" {len(part)} values for {hi - lo}"
                             f" candidates")
-                self.batch_shards += len(bounds)
-                if self.metrics is not None:
-                    self.metrics.counter("engine.batch_shards").inc(
-                        len(bounds))
+                self.metrics.counter("engine.batch_shards").inc(
+                    len(bounds))
                 return [value for part in parts for value in part]
         return list(batch_fn(candidates, seeds) if self.seeded
                     else batch_fn(candidates))
 
-    def _publish(self, batch: int, fresh: int, wall: Dict[str, float],
-                 tier_name: Optional[str] = None) -> None:
-        if self.metrics is None:
+    def _count(self, name: str, amount: int,
+               tier_name: Optional[str]) -> None:
+        """Count ``amount`` under ``engine.<name>`` and, for an explicit
+        tier, ``engine.tier.<tier>.<name>`` (zero amounts register
+        nothing)."""
+        if not amount:
             return
+        self.metrics.counter(f"engine.{name}").inc(amount)
+        if tier_name is not None:
+            self.metrics.counter(
+                f"engine.tier.{tier_name}.{name}").inc(amount)
+
+    def _publish(self, batch: int, fresh: int,
+                 tier_name: Optional[str] = None) -> None:
         self.metrics.counter("engine.batches").inc()
         self.metrics.counter("engine.candidates").inc(batch)
-        if fresh:
-            self.metrics.counter("engine.oracle_calls").inc(fresh)
-        if batch > fresh:
-            self.metrics.counter("engine.cache_hits").inc(batch - fresh)
-        histogram = self.metrics.histogram("engine.eval_wall_s")
-        for wall_s in wall.values():
-            histogram.record(wall_s)
         if tier_name is not None:
-            prefix = f"engine.tier.{tier_name}"
-            self.metrics.counter(f"{prefix}.candidates").inc(batch)
-            if fresh:
-                self.metrics.counter(f"{prefix}.oracle_calls").inc(fresh)
-            if batch > fresh:
-                self.metrics.counter(f"{prefix}.cache_hits").inc(
-                    batch - fresh)
-            tier_hist = self.metrics.histogram(f"{prefix}.eval_wall_s")
-            for wall_s in wall.values():
-                tier_hist.record(wall_s)
+            self.metrics.counter(
+                f"engine.tier.{tier_name}.candidates").inc(batch)
+        self._count("oracle_calls", fresh, tier_name)
+        self._count("cache_hits", batch - fresh, tier_name)
 
     # -- introspection ------------------------------------------------
 
-    def _tier_counter(self, tier_name: str) -> Dict[str, int]:
-        return self._tier_counters.setdefault(tier_name, {
-            "candidates": 0, "oracle_calls": 0, "cache_hits": 0,
-            "batch_hits": 0, "batch_fallbacks": 0})
-
     def tier_stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-tier counters, keyed by tier name.
+        """Per-tier counters, keyed by tier name, cheapest tier first.
 
-        Only batches priced through an explicit ``tier=`` are counted
-        here (legacy ``map_batch`` calls land in :meth:`stats` alone);
-        the same numbers are published as ``engine.tier.<name>.*``
-        metrics when a registry is attached.
+        A view over the ``engine.tier.<name>.*`` metrics: only batches
+        priced through an explicit ``tier=`` are counted there (legacy
+        ``map_batch`` calls land in :meth:`stats` alone), and a tier
+        appears once it has priced a batch.
         """
-        return {name: dict(counters)
-                for name, counters in self._tier_counters.items()}
+        value = self.metrics.value
+        stats: Dict[str, Dict[str, int]] = {}
+        for tier in self._fidelity_tiers():
+            prefix = f"engine.tier.{tier.name}."
+            if prefix + "candidates" in self.metrics:
+                stats[tier.name] = {
+                    name: int(value(prefix + name))
+                    for name in ("candidates", "oracle_calls",
+                                 "cache_hits", "batch_hits",
+                                 "batch_fallbacks")}
+        return stats
 
     def stats(self) -> Dict[str, int]:
-        """Oracle/batch counters merged with the cache's own stats."""
-        return {"oracle_calls": self.oracle_calls,
-                "batches": self.batches,
-                "batch_hits": self.batch_hits,
-                "batch_fallbacks": self.batch_fallbacks,
-                "batch_shards": self.batch_shards,
-                "chunks": self.chunks,
+        """Oracle/batch counters merged with the cache's own stats (a
+        view over the ``engine.*`` metrics).  ``chunks`` counts oracle
+        windows: ``engine.chunks`` when chunking, else one per
+        ``map_batch`` that reached the oracle."""
+        value = self.metrics.value
+        chunks = "engine.chunks" if self.chunk_size is not None \
+            else "engine.oracle_passes"
+        return {"oracle_calls": int(value("engine.oracle_calls")),
+                "batches": int(value("engine.batches")),
+                "batch_hits": int(value("engine.batch_hits")),
+                "batch_fallbacks": int(value("engine.batch_fallbacks")),
+                "batch_shards": int(value("engine.batch_shards")),
+                "chunks": int(value(chunks)),
                 **self.cache.stats()}

@@ -49,7 +49,7 @@ class TelemetryError(ReproError):
 
 class EngineError(ReproError):
     """The evaluation engine was misused (unfingerprintable candidate,
-    corrupt cache entry, unpicklable objective for a parallel run)."""
+    unpicklable objective for a parallel run, bad engine option)."""
 
 
 class BatchFallback(EngineError):

@@ -7,7 +7,8 @@ cost matrix:
 - :func:`greedy_assignment` — the O(n^2 log n) heuristic real-time
   stacks often ship;
 - :func:`optimal_assignment` — the Hungarian optimum (via scipy's
-  ``linear_sum_assignment``), the accuracy reference.
+  ``linear_sum_assignment``, imported on first call so the rest of the
+  package never needs scipy), the accuracy reference.
 
 The gap between them is another §2.2 metric story: greedy is faster and
 usually close, but adversarial geometries make it arbitrarily worse —
@@ -19,7 +20,6 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.core.profile import DivergenceClass, OpCounter, WorkloadProfile
 from repro.errors import ConfigurationError
@@ -84,8 +84,10 @@ def optimal_assignment(cost: np.ndarray,
     """Minimum-cost assignment (Hungarian), with gating applied after.
 
     Pairs whose cost exceeds ``max_cost`` are dropped from the optimal
-    solution (standard practice: gate, don't force).
+    solution (standard practice: gate, don't force).  Needs scipy.
     """
+    from scipy.optimize import linear_sum_assignment
+
     cost = _validate(cost)
     rows, cols = linear_sum_assignment(cost)
     if counter is not None:

@@ -39,13 +39,15 @@ Dashboard (one shared :class:`~repro.telemetry.MetricsRegistry`):
 ``serve.flushes`` / ``serve.coalesced_batches`` counters,
 ``serve.request_latency_s`` histogram (p50/p99 via ``summary()``),
 ``engine.cache.*`` totals from the shared cache, and
-``engine.cache.tenant.<label>.hits`` / ``.misses`` per tenant.
+``engine.cache.tenant.<label>.hits`` / ``.misses`` per tenant.  Lane
+evaluators count ``engine.*`` into private registries, one per lane.
 """
 
 from __future__ import annotations
 
 import asyncio
 import itertools
+import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Set
@@ -64,6 +66,8 @@ from repro.serve.protocol import (
 from repro.telemetry import MetricsRegistry
 
 __all__ = ["ServeConfig", "EvalServer"]
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -167,7 +171,9 @@ class EvalServer:
     def lane(self, objective_name: str) -> Lane:
         """The lane for an objective (created on first use).  Every
         lane shares the server cache; contexts embed the objective
-        name, so keys cannot collide across lanes."""
+        name, so keys cannot collide across lanes.  Each lane's
+        evaluator counts into its own private registry, so a lane's
+        ``stats`` entry reports that lane alone."""
         existing = self._lanes.get(objective_name)
         if existing is not None:
             return existing
@@ -179,7 +185,6 @@ class EvalServer:
             cache=self.cache,
             chunk_size=self.config.chunk_size,
             context=evaluator_context(objective_name),
-            metrics=self.metrics,
         )
         created = Lane(objective_name, evaluator)
         self._lanes[objective_name] = created
@@ -430,9 +435,14 @@ class EvalServer:
         if not misses:
             return {}
         loop = asyncio.get_running_loop()
-        outcomes = await loop.run_in_executor(
-            self._oracle, lane.evaluator.map_batch,
-            list(misses.values()))
+        try:
+            outcomes = await loop.run_in_executor(
+                self._oracle, lane.evaluator.map_batch,
+                list(misses.values()))
+        except Exception as error:
+            _log.exception("oracle failed on a %d-candidate %s batch",
+                           len(misses), lane.objective_name)
+            raise ServeError(f"oracle failed: {error}") from error
         self.metrics.counter("serve.flushes").inc()
         self.metrics.histogram("serve.batch_occupancy").record(
             len(misses))
@@ -509,7 +519,11 @@ class EvalServer:
             outcomes = await loop.run_in_executor(
                 self._oracle, lane.evaluator.map_batch,
                 [entry.candidate for entry in entries])
-        except ReproError as error:
+        except Exception as error:
+            # Whatever the objective raised, every waiter gets an
+            # answer now rather than its client timeout.
+            _log.exception("oracle failed on a %d-candidate %s flush",
+                           len(entries), lane.objective_name)
             failure = ServeError(f"oracle failed: {error}")
             for entry in entries:
                 for future in entry.waiters:

@@ -52,7 +52,8 @@ untouched while steady-state sweeps stop allocating.  ``chunk_size``
 streams arbitrarily large populations through a fixed-size arena
 window, and ``jobs > 1`` ships candidate/result columns through
 :mod:`repro.engine.shm` shared-memory views instead of pickling row
-objects (``transport="pickle"`` forces the legacy path).
+objects (row pickling remains the path where shared memory is
+unavailable, and the reference the shm path is tested against).
 """
 
 from __future__ import annotations
@@ -382,19 +383,25 @@ def run_fleet(rollouts: Sequence[FleetRollout], *,
         if chunks:
             span.args["chunks"] = chunks
     if metrics is not None:
-        metrics.counter("fleet.rollouts").inc(len(rollouts))
-        if result.batch_priced:
-            metrics.counter("fleet.batch_hits").inc(result.batch_priced)
-        if result.scalar_fallback:
-            metrics.counter("fleet.batch_fallbacks").inc(
-                result.scalar_fallback)
-        if result.alloc_bytes:
-            metrics.counter("fleet.alloc_bytes").inc(result.alloc_bytes)
+        _publish_fleet(metrics, result)
         if chunks:
             metrics.counter("fleet.chunks").inc(chunks)
             metrics.counter("fleet.arena_occupancy_pct").inc(
                 int(100 * arena.occupancy()))
     return result
+
+
+def _publish_fleet(metrics: MetricsRegistry, result: FleetResult) -> None:
+    """Count one evaluated population into ``fleet.*`` (zero amounts
+    register nothing)."""
+    metrics.counter("fleet.rollouts").inc(len(result.rollouts))
+    if result.batch_priced:
+        metrics.counter("fleet.batch_hits").inc(result.batch_priced)
+    if result.scalar_fallback:
+        metrics.counter("fleet.batch_fallbacks").inc(
+            result.scalar_fallback)
+    if result.alloc_bytes:
+        metrics.counter("fleet.alloc_bytes").inc(result.alloc_bytes)
 
 
 def _run_fleet(rollouts: Tuple[FleetRollout, ...],
@@ -909,8 +916,7 @@ class FleetStudy:
 
     def run(self, *, jobs: int = 1,
             metrics: Optional[MetricsRegistry] = None,
-            chunk_size: Optional[int] = None,
-            transport: str = "auto") -> FleetStudyResult:
+            chunk_size: Optional[int] = None) -> FleetStudyResult:
         """Evaluate the study population and summarize per tier.
 
         Args:
@@ -923,45 +929,27 @@ class FleetStudy:
             chunk_size: Stream the population (or each shard) through a
                 fixed-size arena window of at most this many rollouts,
                 bounding the peak working set; results are identical.
-            transport: How ``jobs > 1`` ships data: ``"shm"`` maps
-                candidate/result columns through shared memory
-                (zero-copy, no row pickling), ``"pickle"`` ships row
-                objects through the pool, ``"auto"`` (default) uses
-                shared memory when the platform supports it.  Results
-                are byte-identical across transports.
+
+        With ``jobs > 1``, candidate/result columns travel through
+        shared memory (zero-copy) where the platform supports it, and
+        as pickled row objects otherwise; results are byte-identical
+        either way.
         """
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         if chunk_size is not None and chunk_size < 1:
             raise ConfigurationError(
                 f"chunk_size must be >= 1, got {chunk_size}")
-        if transport not in ("auto", "shm", "pickle"):
-            raise ConfigurationError(
-                f"transport must be auto|shm|pickle, got {transport!r}")
         population = self.rollouts()
         if jobs == 1 or len(population) <= jobs:
             fleet = run_fleet(population, metrics=metrics,
                               chunk_size=chunk_size)
         else:
-            use_shm = (transport == "shm"
-                       or (transport == "auto" and shm_available()))
-            if use_shm:
-                fleet = self._run_parallel_shm(population, jobs,
-                                               chunk_size)
-            else:
-                fleet = self._run_parallel_pickle(population, jobs,
-                                                  chunk_size)
+            run_parallel = self._run_parallel_shm if shm_available() \
+                else self._run_parallel_pickle
+            fleet = run_parallel(population, jobs, chunk_size)
             if metrics is not None:
-                metrics.counter("fleet.rollouts").inc(len(population))
-                if fleet.batch_priced:
-                    metrics.counter("fleet.batch_hits").inc(
-                        fleet.batch_priced)
-                if fleet.scalar_fallback:
-                    metrics.counter("fleet.batch_fallbacks").inc(
-                        fleet.scalar_fallback)
-                if fleet.alloc_bytes:
-                    metrics.counter("fleet.alloc_bytes").inc(
-                        fleet.alloc_bytes)
+                _publish_fleet(metrics, fleet)
         return FleetStudyResult(
             statistics=tuple(self._summarize(fleet)),
             fleet=fleet,

@@ -104,17 +104,22 @@ class StreamingHistogram:
         self.min = math.inf
         self.max = -math.inf
 
-    def record(self, value: float) -> None:
+    def record(self, value: float, n: int = 1) -> None:
+        """Record ``value`` ``n`` times in O(1) (``n`` identical
+        samples, e.g. an even per-candidate share of a batch call)."""
+        if n < 1:
+            raise TelemetryError(
+                f"histogram {self.name!r}: n must be >= 1 (got {n})")
         value = float(value)
-        self.count += 1
-        self.total += value
+        self.count += n
+        self.total += value * n
         self.min = min(self.min, value)
         self.max = max(self.max, value)
         if value <= self.min_value:
-            self._underflow += 1
+            self._underflow += n
             return
         index = int(math.log(value / self.min_value) / self._log_growth)
-        self._buckets[index] = self._buckets.get(index, 0) + 1
+        self._buckets[index] = self._buckets.get(index, 0) + n
 
     def mean(self) -> float:
         if self.count == 0:
@@ -192,6 +197,17 @@ class MetricsRegistry:
                                          min_value=min_value),
             StreamingHistogram,
         )
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._metrics
+
+    def value(self, name: str) -> float:
+        """A counter's or gauge's current value, 0 when ``name`` was
+        never created (reading never registers a metric)."""
+        metric = self._metrics.get(name)
+        if metric is None:
+            return 0.0
+        return metric.value  # type: ignore[attr-defined]
 
     def names(self) -> List[str]:
         return sorted(self._metrics)

@@ -1,5 +1,5 @@
 """Unit tests for the perf ledger: records, baselines, the gate, and
-legacy migration."""
+migrated legacy records."""
 
 import json
 
@@ -17,7 +17,6 @@ from repro.bench import (
     ledger_record,
     load_baselines,
     merge_baselines,
-    migrate_legacy_bench,
     read_ledger,
     write_baselines,
 )
@@ -238,47 +237,32 @@ class TestMonotoneGate:
 
 
 class TestLegacyMigration:
-    def test_migrates_legacy_rows(self, tmp_path):
-        legacy = tmp_path / "BENCH_toy.json"
-        legacy.write_text(json.dumps({
-            "benchmark": "toy",
-            "rows": [
-                {"candidates": 10, "speedup": 2.0, "rate": 5.0},
-                {"candidates": 100, "speedup": 4.0, "rate": 6.0},
-            ],
-        }))
-        records = migrate_legacy_bench(str(legacy))
-        assert len(records) == 2
-        first = records[0]
-        assert first["schema"] == LEDGER_SCHEMA
-        assert first["benchmark"] == "toy"
-        assert first["size"] == 10
-        assert first["metrics"] == {"speedup": 2.0, "rate": 5.0}
-        assert first["wall_time_s"] is None  # not recorded at seed
-        assert first["migrated_from"] == "BENCH_toy.json"
-        assert first["provenance"]["git_sha"]
+    """The ledger's first records were converted from the earlier
+    snapshot files; they still have to read and gate like any other."""
+
+    MIGRATED = {
+        "schema": LEDGER_SCHEMA, "benchmark": "toy", "size": 10,
+        "metrics": {"rate": 5.0, "speedup": 10.0},
+        "wall_time_s": None, "peak_rss_kb": None,
+        "migrated_from": "BENCH_toy.json",
+        "migrated_unix_time": 1786192644.2,
+        "provenance": {"seed": None,
+                       "config": {"migrated_from": "BENCH_toy.json"},
+                       "git_sha": "19722d54f88c87c0174f0d4e8ef33e68c4cb0ee7"},
+    }
 
     def test_migrated_records_feed_the_gate(self, tmp_path):
-        legacy = tmp_path / "BENCH_toy.json"
-        legacy.write_text(json.dumps({
-            "benchmark": "toy",
-            "rows": [{"rollouts": 10, "speedup": 10.0}],
-        }))
-        baselines = baselines_from_records(
-            migrate_legacy_bench(str(legacy)), source="migrated")
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_text(json.dumps(self.MIGRATED) + "\n")
+        records = read_ledger(str(ledger))
+        assert records == [self.MIGRATED]
+        baselines = baselines_from_records(records, source="migrated")
         lookup = {(e["benchmark"], e["size"]): e
                   for e in baselines["entries"]}
-        checks = check_records([_record(8.0)], lookup,
-                               {"toy": _benchmark()}, threshold=0.15)
+        benchmarks = {"toy": _benchmark()}
+        checks = check_records([_record(8.0)], lookup, benchmarks,
+                               threshold=0.15)
         assert checks[0].regressed  # 10 -> 8 is a 20% regression
-
-    def test_rejects_malformed_documents(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"rows": []}))
-        with pytest.raises(BenchmarkError, match="legacy"):
-            migrate_legacy_bench(str(bad))
-        no_size = tmp_path / "nosize.json"
-        no_size.write_text(json.dumps({
-            "benchmark": "b", "rows": [{"speedup": 1.0}]}))
-        with pytest.raises(BenchmarkError, match="size"):
-            migrate_legacy_bench(str(no_size))
+        # A migrated record is itself a gateable run record.
+        assert not any(check.regressed for check in check_records(
+            records, lookup, benchmarks, threshold=0.15))

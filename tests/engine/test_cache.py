@@ -4,8 +4,12 @@ import json
 
 import pytest
 
-from repro.engine import ResultCache
+from repro.engine import Evaluator, ResultCache
 from repro.errors import EngineError
+
+
+def _double(x):
+    return 2.0 * x
 
 
 class TestMemoryLevel:
@@ -38,7 +42,7 @@ class TestBoundedMemory:
         assert cache.get("a")[0]
         assert not cache.get("b")[0]
         assert cache.get("c")[0]
-        assert cache.evictions == 1
+        assert cache.stats()["evictions"] == 1
         assert len(cache) == 2
 
     def test_put_refreshes_recency(self):
@@ -54,10 +58,10 @@ class TestBoundedMemory:
         cache = ResultCache(str(tmp_path), max_entries=1)
         cache.put("a", 1)
         cache.put("b", 2)  # "a" evicted from memory, not from disk
-        assert cache.evictions == 1
+        assert cache.stats()["evictions"] == 1
         hit, value = cache.get("a")
         assert hit and value == 1
-        assert cache.disk_hits == 1
+        assert cache.stats()["disk_hits"] == 1
 
     def test_invalid_bound_rejected(self):
         with pytest.raises(EngineError):
@@ -86,10 +90,11 @@ class TestDiskLevel:
         second = ResultCache(str(tmp_path))  # cold memory, warm disk
         hit, value = second.get("deadbeef")
         assert hit and value == {"v": 1.25}
-        assert second.disk_hits == 1
+        assert second.stats()["disk_hits"] == 1
         # Promoted: the next lookup stays in memory.
         second.get("deadbeef")
-        assert second.disk_hits == 1 and second.hits == 2
+        assert second.stats()["disk_hits"] == 1
+        assert second.stats()["hits"] == 2
 
     def test_infinity_round_trips(self, tmp_path):
         first = ResultCache(str(tmp_path))
@@ -106,13 +111,40 @@ class TestDiskLevel:
         hit, value = second.get("z")
         assert hit and value == complex(1, 2)
 
-    def test_corrupt_entry_raises(self, tmp_path):
+    def test_corrupt_entry_is_a_counted_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         cache.put("bad", 1)
         (tmp_path / "bad.json").write_text("{not json")
         fresh = ResultCache(str(tmp_path))
-        with pytest.raises(EngineError):
-            fresh.get("bad")
+        assert fresh.get("bad") == (False, None)
+        assert fresh.stats()["misses"] == 1
+        assert fresh.metrics.value("engine.cache.corrupt") == 1
+        # The re-priced value overwrites the bad file.
+        fresh.put("bad", 2)
+        assert ResultCache(str(tmp_path)).get("bad") == (True, 2)
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: text[:len(text) // 2],  # truncated mid-write
+        lambda text: "\x00\x01 not json at all",
+    ], ids=["truncated", "non-json"])
+    def test_warm_store_reprices_only_bad_entries(self, tmp_path,
+                                                  damage):
+        candidates = list(range(10))
+        cold = Evaluator(_double, cache=ResultCache(str(tmp_path)))
+        expected = [r.value for r in cold.map_batch(candidates)]
+        bad = [cold.key_for(c) for c in (3, 7)]
+        for key in bad:
+            path = tmp_path / f"{key}.json"
+            path.write_text(damage(path.read_text()))
+        warm = Evaluator(_double, cache=ResultCache(str(tmp_path)))
+        assert [r.value for r in warm.map_batch(candidates)] == expected
+        assert warm.stats()["oracle_calls"] == len(bad)
+        assert warm.cache.metrics.value("engine.cache.corrupt") \
+            == len(bad)
+        # The bad entries were rewritten: a third pass is all hits.
+        replay = Evaluator(_double, cache=ResultCache(str(tmp_path)))
+        replay.map_batch(candidates)
+        assert replay.stats()["oracle_calls"] == 0
 
     def test_disk_files_are_self_describing(self, tmp_path):
         cache = ResultCache(str(tmp_path))

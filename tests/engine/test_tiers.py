@@ -189,7 +189,7 @@ class TestEvaluatorTiers:
                            context={"task": "tiers"})
         results = replay.map_batch(self._candidates())
         assert all(r.cached for r in results)
-        assert replay.oracle_calls == 0
+        assert replay.stats()["oracle_calls"] == 0
 
     def test_lower_tiers_do_not_pollute_full_fidelity(self):
         cache = ResultCache()

@@ -42,6 +42,12 @@ class TestGreedy:
 
 
 class TestOptimal:
+    @pytest.fixture(autouse=True)
+    def _scipy(self):
+        # The Hungarian reference is scipy's; the package itself is
+        # scipy-free.
+        pytest.importorskip("scipy")
+
     def test_beats_greedy_on_adversarial_case(self):
         # Greedy grabs (0,0)=1 and is forced into (1,1)=100;
         # optimal takes 2 + 2 = 4.

@@ -20,6 +20,7 @@ Two claims are under test, both strict (bit-for-bit, not approximate):
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -135,8 +136,11 @@ def test_shm_jobs2_equals_serial(seed, trials):
     study = FleetStudy(config=config, tiers=_TIERS, trials=trials,
                        seed=seed)
     serial = study.run()
-    shm = study.run(jobs=2, transport="shm")
-    pickled = study.run(jobs=2, transport="pickle")
+    shm = study.run(jobs=2)
+    # Without shared memory the study falls back to row pickling.
+    with mock.patch("repro.system.fleet.shm_available",
+                    return_value=False):
+        pickled = study.run(jobs=2)
     assert shm.fleet.results == serial.fleet.results
     assert pickled.fleet.results == serial.fleet.results
     assert shm.statistics == serial.statistics

@@ -331,3 +331,62 @@ class TestRobustness:
             assert client.shutdown()
         handle._thread.join(timeout=30)
         assert not handle._thread.is_alive()
+
+    def test_lane_stats_count_only_their_own_lane(self, daemon):
+        handle = daemon(max_wait_ms=10.0)
+        with handle.client() as client:
+            client.submit_values(space="codesign", indices=[0, 1, 2])
+            client.submit_values(space="codesign", indices=[0],
+                                 objective="mission_objective")
+            lanes = client.stats()["lanes"]
+        assert lanes["suite_objective"]["oracle_calls"] == 3
+        assert lanes["mission_objective"]["oracle_calls"] == 1
+
+
+def _failing_objective(candidate):
+    raise ValueError("objective blew up")
+
+
+class TestOracleFailure:
+    def test_every_cobatched_waiter_is_answered(self, daemon):
+        handle = daemon(max_wait_ms=400.0, max_batch=1024)
+        lane = handle.server.lane("suite_objective")
+        working = lane.evaluator.objective
+        lane.evaluator.objective = _failing_objective
+        barrier = threading.Barrier(2)
+        envelopes = {}
+
+        def tenant(rank):
+            with handle.client(timeout=60.0) as client:
+                barrier.wait()
+                envelopes[rank] = client.submit(
+                    space="codesign", indices=[rank],
+                    tenant=f"t{rank}")
+
+        started = time.monotonic()
+        threads = [threading.Thread(target=tenant, args=(rank,))
+                   for rank in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        # Answered by the failed flush, far inside the client timeout.
+        assert time.monotonic() - started < 30.0
+        for rank in range(2):
+            assert envelopes[rank]["ok"] is False
+            assert "oracle failed" in envelopes[rank]["detail"]
+            assert "objective blew up" in envelopes[rank]["detail"]
+        assert handle.server.metrics.value(
+            "serve.coalesced_batches") == 1
+        # An uncoalesced request fails the same way.
+        with handle.client() as client:
+            direct = client.submit(space="codesign", indices=[5],
+                                   no_coalesce=True)
+        assert direct["ok"] is False
+        assert "oracle failed" in direct["detail"]
+        # The daemon keeps serving once the objective behaves again.
+        lane.evaluator.objective = working
+        with handle.client() as client:
+            assert client.submit_values(space="codesign",
+                                        indices=[0]) == \
+                serial_values([0])

@@ -2,9 +2,11 @@
 
 Complements ``tests/system/test_fleet.py`` (scalar equivalence,
 allocation accounting): here the contract is that ``chunk_size`` and
-``transport`` change *where bytes live and move*, never what any result
-is — chunked == unchunked, shm == pickle == serial — plus the telemetry
-those paths publish and the errors they raise when misconfigured.
+the ``jobs > 1`` shard transport (shared memory where available, row
+pickling otherwise) change *where bytes live and move*, never what any
+result is — chunked == unchunked, shm == pickle == serial — plus the
+telemetry those paths publish and the errors they raise when
+misconfigured.
 """
 
 import numpy as np
@@ -90,32 +92,32 @@ class TestStudyTransport:
     def serial(self, study):
         return study.run()
 
-    def test_pickle_transport_equals_serial(self, study, serial):
-        parallel = study.run(jobs=2, transport="pickle")
+    def test_pickle_transport_equals_serial(self, study, serial,
+                                            monkeypatch):
+        # Without shared memory the study falls back to row pickling.
+        monkeypatch.setattr("repro.system.fleet.shm_available",
+                            lambda: False)
+        parallel = study.run(jobs=2)
         assert parallel.fleet.results == serial.fleet.results
         assert parallel.statistics == serial.statistics
 
     @pytest.mark.skipif(not shm_available(),
                         reason="POSIX shared memory unavailable")
     def test_shm_transport_equals_serial(self, study, serial):
-        parallel = study.run(jobs=2, transport="shm")
+        parallel = study.run(jobs=2)
         assert parallel.fleet.results == serial.fleet.results
         assert parallel.statistics == serial.statistics
 
     @pytest.mark.skipif(not shm_available(),
                         reason="POSIX shared memory unavailable")
     def test_shm_chunked_equals_serial(self, study, serial):
-        parallel = study.run(jobs=2, transport="shm", chunk_size=3)
+        parallel = study.run(jobs=2, chunk_size=3)
         assert parallel.fleet.results == serial.fleet.results
 
     def test_chunked_serial_study_equals_serial(self, study, serial):
         chunked = study.run(chunk_size=2)
         assert chunked.fleet.results == serial.fleet.results
         assert chunked.statistics == serial.statistics
-
-    def test_invalid_transport_rejected(self, study):
-        with pytest.raises(ConfigurationError):
-            study.run(jobs=2, transport="carrier-pigeon")
 
     def test_invalid_chunk_size_rejected(self, study):
         with pytest.raises(ConfigurationError):

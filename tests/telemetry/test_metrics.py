@@ -110,6 +110,17 @@ class TestStreamingHistogram:
         assert set(summary) == {"count", "mean", "min", "max",
                                 "p50", "p90", "p99", "p999"}
 
+    def test_multiplicity_equals_repeated_records(self):
+        repeated = StreamingHistogram("r")
+        weighted = StreamingHistogram("w")
+        for value, n in ((0.25, 3), (2.0, 1), (1e-15, 2)):
+            for _ in range(n):
+                repeated.record(value)
+            weighted.record(value, n)
+        assert weighted.summary() == pytest.approx(repeated.summary())
+        with pytest.raises(TelemetryError):
+            weighted.record(1.0, 0)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(TelemetryError):
             StreamingHistogram("h", growth=1.0)
@@ -141,3 +152,12 @@ class TestMetricsRegistry:
         assert snap["depth"]["value"] == 2
         assert snap["lat"]["count"] == 1
         assert registry.names() == ["depth", "jobs", "lat"]
+
+    def test_value_reads_without_registering(self):
+        registry = MetricsRegistry()
+        assert registry.value("never") == 0.0
+        assert "never" not in registry
+        registry.counter("jobs").inc(2)
+        registry.gauge("depth").set(5)
+        assert "jobs" in registry
+        assert (registry.value("jobs"), registry.value("depth")) == (2, 5)

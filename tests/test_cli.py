@@ -1,10 +1,16 @@
 """Unit tests for the ``python -m repro`` command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestParser:
@@ -293,3 +299,21 @@ class TestTraceCommand:
     def test_unknown_workload_exits_nonzero(self, tmp_path, capsys):
         assert main(["trace", "pipeline", "--workload", "nope",
                      "--out", str(tmp_path / "t.json")]) == 2
+
+
+class TestWithoutScipy:
+    def test_dse_runs_with_scipy_blocked(self, tmp_path):
+        # scipy is not a dependency: only the Hungarian reference
+        # solver may import it, and only when called.
+        launcher = ("import sys; sys.modules['scipy'] = None;"
+                    " from repro.cli import main;"
+                    " sys.exit(main(sys.argv[1:]))")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(ROOT / "src")
+        result = subprocess.run(
+            [sys.executable, "-c", launcher, "dse", "--objective",
+             "suite_objective", "--budget", "8"],
+            capture_output=True, text=True, timeout=300, env=env,
+            cwd=str(tmp_path))
+        assert result.returncode == 0, result.stderr
+        assert "oracle calls: 8" in result.stdout
