@@ -13,8 +13,10 @@ optimization loops can be audited).  This package is that boundary:
   addresses for configs, workloads, platforms, and SoCs;
 - :mod:`~repro.engine.cache`       — in-memory + on-disk result cache;
 - :mod:`~repro.engine.evaluator`   — the :class:`Evaluator`: batch
-  pricing with deterministic per-candidate seeding, serial or via a
-  process pool, bit-identical either way;
+  pricing with deterministic per-candidate seeding, serial or via the
+  worker pool, bit-identical either way;
+- :mod:`~repro.engine.pool`        — the one lazily started worker pool
+  every ``jobs > 1`` path shares;
 - :mod:`~repro.engine.protocol`    — the ask/tell
   :class:`SearchStrategy` protocol and the :func:`run_search` driver;
 - :mod:`~repro.engine.shm`         — zero-copy shared-memory column

@@ -11,7 +11,7 @@ Every search loop and suite run in the repo used to own a private
   repeated candidates; a warm cache answers a whole re-run with zero
   oracle calls.
 - **Batch parallelism** — :meth:`map_batch` prices a batch serially or
-  on a ``concurrent.futures`` process pool.  Results come back in input
+  on the shared :mod:`~repro.engine.pool`.  Results come back in input
   order and each candidate gets a seed derived from its fingerprint,
   never from batch position, so a parallel run is bit-identical to the
   serial one.
@@ -28,11 +28,11 @@ Every search loop and suite run in the repo used to own a private
   path transparently.
 - **Sharded batch pricing** — with ``jobs > 1``, a large enough
   ``evaluate_batch`` window is split into contiguous shards priced on
-  the process pool and concatenated back in order.  The elementwise
+  the shared pool and concatenated back in order.  The elementwise
   contract that makes chunking value-neutral makes sharding
   value-neutral for the same reason; small windows stay in-process
-  (pool spin-up would dominate), and a window whose objective cannot
-  pickle falls back to the in-process batch call transparently.
+  (pickling would dominate), and an objective that cannot pickle is
+  priced in-process on every path, so ``jobs`` never changes a result.
 - **Chunked streaming** — with ``chunk_size`` set, :meth:`map_batch`
   pushes the pending set through the oracle in fixed-size windows, so
   an arbitrarily large population evaluates under a bounded working
@@ -54,13 +54,12 @@ over those metrics.  Per-batch wall spans go to the tracer.
 
 from __future__ import annotations
 
-import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
 from hashlib import sha256
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.engine import pool
 from repro.engine.cache import ResultCache
 from repro.engine.fingerprint import fingerprint, try_fast_json
 from repro.errors import BatchFallback, EngineError
@@ -74,8 +73,8 @@ Objective = Callable[..., Any]
 #: Mask keeping derived seeds inside numpy's legal seed range.
 _SEED_MASK = (1 << 63) - 1
 
-#: Smallest evaluate_batch window worth sharding across a process
-#: pool; below this, pool spin-up and pickling dominate the kernel.
+#: Smallest evaluate_batch window worth sharding across the worker
+#: pool; below this, pickling candidates and values dominates the kernel.
 _SHARD_FLOOR = 64
 
 
@@ -114,7 +113,7 @@ def _timed_call(objective: Objective, candidate: Any, seed: int,
 
 def _batch_call(batch_fn: Callable[..., Any], candidates: List[Any],
                 seeds: List[int], seeded: bool) -> List[Any]:
-    """One evaluate_batch shard (runs in pool workers, hence
+    """One evaluate_batch call (runs in pool workers too, hence
     module-level for picklability)."""
     return list(batch_fn(candidates, seeds) if seeded
                 else batch_fn(candidates))
@@ -125,9 +124,9 @@ class Evaluator:
 
     Args:
         objective: ``candidate -> value``; with ``seeded=True``,
-            ``(candidate, seed) -> value``.  Must be picklable (a
-            module-level callable or an instance of a module-level
-            class) when ``jobs > 1``.
+            ``(candidate, seed) -> value``.  Runs in pool workers
+            when ``jobs > 1`` only if picklable (a module-level
+            callable or an instance of a module-level class).
         jobs: Process-pool width for :meth:`map_batch` (1 = in-process
             serial evaluation).
         cache: Result store (a private in-memory one by default).  Pass
@@ -375,26 +374,21 @@ class Evaluator:
                 for histogram in walls:
                     histogram.record(share, len(values))
                 return [(value, share) for value in values]
-        if self.jobs == 1 or len(candidates) == 1:
+        if self.jobs == 1 or len(candidates) == 1 \
+                or not pool.picklable(scalar_fn):
             outcomes = [_timed_call(scalar_fn, candidate, seed,
                                     self.seeded)
                         for candidate, seed in zip(candidates, seeds)]
         else:
-            try:
-                with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                    outcomes = list(pool.map(
-                        _timed_call,
-                        [scalar_fn] * len(candidates),
-                        candidates,
-                        seeds,
-                        [self.seeded] * len(candidates),
-                    ))
-            except (AttributeError, TypeError) as error:
-                # Most commonly: an unpicklable closure objective.
-                raise EngineError(
-                    f"parallel evaluation (jobs={self.jobs}) requires a"
-                    f" picklable objective and candidates: {error}"
-                ) from error
+            # One task per candidate: scalar oracles (the mission DES)
+            # vary in cost, so the pool balances them dynamically.
+            outcomes = pool.parallel_map(
+                _timed_call,
+                [scalar_fn] * len(candidates),
+                candidates,
+                seeds,
+                [self.seeded] * len(candidates),
+                jobs=self.jobs)
         for histogram in walls:
             for _, wall_s in outcomes:
                 histogram.record(wall_s)
@@ -405,47 +399,38 @@ class Evaluator:
                     seeds: List[int]) -> List[Any]:
         """One oracle window through ``evaluate_batch``.
 
-        With ``jobs > 1`` and a window large enough to amortize pool
-        spin-up, the window is split into ``jobs`` contiguous shards
+        With ``jobs > 1`` and a window large enough to amortize the
+        pickling, the window is split into ``jobs`` contiguous shards
         priced concurrently and concatenated back in submission order —
         value-identical to the single call because batch objectives are
         elementwise and seeds are fingerprint-derived (the same
         contract that makes chunking neutral).  A shard raising
         :class:`BatchFallback` falls the whole window back to the
-        scalar path; an objective that cannot pickle falls back to the
+        scalar path; an objective that cannot pickle is priced by the
         in-process batch call.
         """
         total = len(candidates)
-        if self.jobs > 1 and total >= max(2 * self.jobs, _SHARD_FLOOR):
+        if self.jobs > 1 and total >= max(2 * self.jobs, _SHARD_FLOOR) \
+                and pool.picklable(batch_fn):
             step = -(-total // self.jobs)  # ceil division
             bounds = [(lo, min(lo + step, total))
                       for lo in range(0, total, step)]
-            try:
-                with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                    parts = list(pool.map(
-                        _batch_call,
-                        [batch_fn] * len(bounds),
-                        [candidates[lo:hi] for lo, hi in bounds],
-                        [seeds[lo:hi] for lo, hi in bounds],
-                        [self.seeded] * len(bounds),
-                    ))
-            except BatchFallback:
-                raise
-            except (pickle.PicklingError, AttributeError,
-                    TypeError):
-                parts = None  # unpicklable objective: price in-process
-            if parts is not None:
-                for (lo, hi), part in zip(bounds, parts):
-                    if len(part) != hi - lo:
-                        raise EngineError(
-                            f"evaluate_batch shard returned"
-                            f" {len(part)} values for {hi - lo}"
-                            f" candidates")
-                self.metrics.counter("engine.batch_shards").inc(
-                    len(bounds))
-                return [value for part in parts for value in part]
-        return list(batch_fn(candidates, seeds) if self.seeded
-                    else batch_fn(candidates))
+            parts = pool.parallel_map(
+                _batch_call,
+                [batch_fn] * len(bounds),
+                [candidates[lo:hi] for lo, hi in bounds],
+                [seeds[lo:hi] for lo, hi in bounds],
+                [self.seeded] * len(bounds),
+                jobs=self.jobs)
+            for (lo, hi), part in zip(bounds, parts):
+                if len(part) != hi - lo:
+                    raise EngineError(
+                        f"evaluate_batch shard returned"
+                        f" {len(part)} values for {hi - lo}"
+                        f" candidates")
+            self.metrics.counter("engine.batch_shards").inc(len(bounds))
+            return [value for part in parts for value in part]
+        return _batch_call(batch_fn, candidates, seeds, self.seeded)
 
     def _count(self, name: str, amount: int,
                tier_name: Optional[str]) -> None:

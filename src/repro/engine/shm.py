@@ -25,7 +25,8 @@ creates and destroys; workers attach and close.
 
 CPython quirk (bpo-38119): a process that merely *attaches* to a
 segment still registers it with its ``resource_tracker``.  Under the
-default ``fork`` start method workers share the parent's tracker, whose
+default ``fork`` start method workers share the parent's tracker (the
+engine pool starts it before forking), whose
 registry is a set — the duplicate registration dedupes and the parent's
 ``unlink`` clears the single entry, so the standard lifecycle is clean
 and no unregister workaround is needed (an extra worker-side
@@ -58,7 +59,7 @@ def shm_available() -> bool:
     """Whether POSIX shared memory works here (probed once).
 
     False on platforms/sandboxes without ``/dev/shm`` or with
-    ``shm_open`` denied; callers then fall back to pickle transport.
+    ``shm_open`` denied; fleet studies then run serially.
     """
     global _available
     if _available is None:

@@ -48,8 +48,8 @@ class TelemetryError(ReproError):
 
 
 class EngineError(ReproError):
-    """The evaluation engine was misused (unfingerprintable candidate,
-    unpicklable objective for a parallel run, bad engine option)."""
+    """The evaluation engine was misused or failed (unfingerprintable
+    candidate, bad engine option, a pool worker died)."""
 
 
 class BatchFallback(EngineError):

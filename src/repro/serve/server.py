@@ -161,6 +161,8 @@ class EvalServer:
         self._oracle = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="serve-oracle")
         self._flushes: Set["asyncio.Task[None]"] = set()
+        self._connections: Dict["asyncio.Task[Any]",
+                                asyncio.StreamWriter] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopped: Optional[asyncio.Event] = None
         self.draining = False
@@ -237,8 +239,8 @@ class EvalServer:
                                  return_exceptions=True)
 
     async def aclose(self) -> None:
-        """Graceful shutdown: drain, close the listener, stop the
-        oracle thread."""
+        """Graceful shutdown: drain, close the listener and every open
+        connection, stop the oracle thread."""
         await self.drain()
         # One scheduling breath so handlers whose waiters the drain
         # just resolved can deliver their responses before the loop
@@ -246,6 +248,12 @@ class EvalServer:
         await asyncio.sleep(0.05)
         if self._server is not None:
             self._server.close()
+        # Each handler then sees EOF and returns, instead of being
+        # cancelled mid-read when the loop stops.
+        for writer in self._connections.values():
+            writer.transport.abort()
+        await asyncio.gather(*self._connections, return_exceptions=True)
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
         self._oracle.shutdown(wait=True)
@@ -276,6 +284,8 @@ class EvalServer:
                     break
 
         delivery = loop.create_task(deliver())
+        handler = asyncio.current_task()
+        self._connections[handler] = writer
         try:
             while not closing.is_set():
                 try:
@@ -309,6 +319,7 @@ class EvalServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+            del self._connections[handler]
 
     async def _reply(self, writer: asyncio.StreamWriter,
                      response: Mapping[str, Any]) -> bool:

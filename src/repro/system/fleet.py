@@ -52,18 +52,18 @@ untouched while steady-state sweeps stop allocating.  ``chunk_size``
 streams arbitrarily large populations through a fixed-size arena
 window, and ``jobs > 1`` ships candidate/result columns through
 :mod:`repro.engine.shm` shared-memory views instead of pickling row
-objects (row pickling remains the path where shared memory is
-unavailable, and the reference the shm path is tested against).
+objects (without shared memory a study runs serially; serial is the
+reference every parallel run is tested against).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.engine import pool
 from repro.engine.arena import BatchArena, Workspace
 from repro.engine.shm import ColumnBlock, shm_available
 from repro.errors import ConfigurationError
@@ -677,16 +677,6 @@ def _emit_results(columns: Dict[str, np.ndarray]
     return tuple(results)
 
 
-def _run_fleet_chunk(task: Tuple[Sequence[FleetRollout], Optional[int]]
-                     ) -> Tuple[Tuple[MissionResult, ...], int, int, int]:
-    """Pickle-transport pool-worker entry point (module-level for
-    picklability).  ``task`` is ``(rollouts, chunk_size)``."""
-    rollouts, chunk_size = task
-    result = run_fleet(rollouts, chunk_size=chunk_size)
-    return (result.results, result.batch_priced,
-            result.scalar_fallback, result.alloc_bytes)
-
-
 def _run_fleet_shard_shm(
     task: Tuple[MissionConfig, Tuple[Tier, ...], int, int, str, str,
                 int, int, Optional[int]],
@@ -703,15 +693,14 @@ def _run_fleet_shard_shm(
     """
     (config, tiers, trial_lo, trial_hi, factors_name, results_name,
      trials, n_tiers, chunk_size) = task
-    factors_block = ColumnBlock.attach(
-        factors_name, [("factors", np.float64, (trials, 4))])
-    results_block = ColumnBlock.attach(
-        results_name, _result_specs(trials * n_tiers))
-    try:
+    factors_spec = [("factors", np.float64, (trials, 4))]
+    results_spec = _result_specs(trials * n_tiers)
+    with ColumnBlock.attach(factors_name, factors_spec) as factors_block, \
+            ColumnBlock.attach(results_name, results_spec) as results_block:
         factors = factors_block.column("factors")
         shard = _perturbed_population(config, tiers, factors,
                                       trial_lo, trial_hi)
-        del factors  # release the segment view before the finally close
+        del factors  # release the segment view before close()
         arena = BatchArena()
         course_cache: Dict = {}
         step = chunk_size if chunk_size else max(len(shard), 1)
@@ -729,9 +718,6 @@ def _run_fleet_shard_shm(
             scalar_fallback += fell_back
             alloc_bytes += chunk_bytes
         return batch_priced, scalar_fallback, alloc_bytes
-    finally:
-        factors_block.close()
-        results_block.close()
 
 
 # -- Monte Carlo layer -------------------------------------------------
@@ -920,20 +906,16 @@ class FleetStudy:
         """Evaluate the study population and summarize per tier.
 
         Args:
-            jobs: Process-pool width.  ``jobs > 1`` shards the
-                population; shards are independent, so results are
-                identical to the serial run (each shard re-plans the
-                shared course once — planning, not simulation, is the
-                only duplicated work).
+            jobs: Process-pool width.  ``jobs > 1`` shards the trials
+                over the engine's worker pool, with columns in shared
+                memory (serial where that is unavailable); shards are
+                independent, so results are identical to the serial run
+                (each shard re-plans the shared course once — planning,
+                not simulation, is the only duplicated work).
             metrics: Optional registry for the ``fleet.*`` counters.
             chunk_size: Stream the population (or each shard) through a
                 fixed-size arena window of at most this many rollouts,
                 bounding the peak working set; results are identical.
-
-        With ``jobs > 1``, candidate/result columns travel through
-        shared memory (zero-copy) where the platform supports it, and
-        as pickled row objects otherwise; results are byte-identical
-        either way.
         """
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
@@ -941,13 +923,11 @@ class FleetStudy:
             raise ConfigurationError(
                 f"chunk_size must be >= 1, got {chunk_size}")
         population = self.rollouts()
-        if jobs == 1 or len(population) <= jobs:
+        if jobs == 1 or len(population) <= jobs or not shm_available():
             fleet = run_fleet(population, metrics=metrics,
                               chunk_size=chunk_size)
         else:
-            run_parallel = self._run_parallel_shm if shm_available() \
-                else self._run_parallel_pickle
-            fleet = run_parallel(population, jobs, chunk_size)
+            fleet = self._run_parallel(population, jobs, chunk_size)
             if metrics is not None:
                 _publish_fleet(metrics, fleet)
         return FleetStudyResult(
@@ -957,54 +937,11 @@ class FleetStudy:
             seed=self.seed,
         )
 
-    def _run_parallel_pickle(self, population: List[FleetRollout],
-                             jobs: int, chunk_size: Optional[int]
-                             ) -> FleetResult:
-        """Row-object transport: interleaved shards through the pool.
-
-        The legacy path (and the fallback where shared memory is
-        unavailable): every rollout is pickled out, every MissionResult
-        pickled back.  Bit-identical to serial and to the shm path.
-        """
-        # Pool workers run run_fleet in their own processes, where
-        # no tracer is installed — span the fan-out from the parent
-        # so --trace-out still sees the run.
-        tracer = get_tracer()
-        shards = [(population[i::jobs], chunk_size)
-                  for i in range(jobs)]
-        with tracer.wall_span("fleet.run", track="fleet") as span:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(_run_fleet_chunk, shards))
-        results: List[Optional[MissionResult]] = [None] * len(
-            population)
-        batch_priced = 0
-        scalar_fallback = 0
-        alloc_bytes = 0
-        for shard_index, (shard_results, hits, misses,
-                          shard_alloc) in enumerate(outcomes):
-            for offset, value in enumerate(shard_results):
-                results[shard_index + offset * jobs] = value
-            batch_priced += hits
-            scalar_fallback += misses
-            alloc_bytes += shard_alloc
-        if tracer.enabled and span.args is None:
-            span.args = {"rollouts": len(population), "jobs": jobs,
-                         "transport": "pickle",
-                         "batch_priced": batch_priced,
-                         "scalar_fallback": scalar_fallback,
-                         "alloc_bytes": alloc_bytes}
-        return FleetResult(
-            rollouts=tuple(population),
-            results=tuple(results),  # type: ignore[arg-type]
-            batch_priced=batch_priced,
-            scalar_fallback=scalar_fallback,
-            alloc_bytes=alloc_bytes)
-
-    def _run_parallel_shm(self, population: List[FleetRollout],
-                          jobs: int, chunk_size: Optional[int]
-                          ) -> FleetResult:
-        """Zero-copy transport: candidate and result columns through
-        :class:`~repro.engine.shm.ColumnBlock` segments.
+    def _run_parallel(self, population: List[FleetRollout],
+                      jobs: int, chunk_size: Optional[int]
+                      ) -> FleetResult:
+        """Shards on the shared pool, with candidate and result columns
+        in :class:`~repro.engine.shm.ColumnBlock` segments.
 
         Workers receive only their shard *spec* (config, tiers, trial
         range, segment names) and rebuild rollouts from the mapped
@@ -1018,28 +955,23 @@ class FleetStudy:
         n = len(population)
         n_tiers = len(self.tiers)
         factors = self.factors()
-        workers = min(jobs, self.trials)
-        base, extra = divmod(self.trials, workers)
-        bounds: List[Tuple[int, int]] = []
-        lo = 0
-        for w in range(workers):
-            hi = lo + base + (1 if w < extra else 0)
-            bounds.append((lo, hi))
-            lo = hi
-        factors_block = ColumnBlock.create(
-            [("factors", np.float64, (self.trials, 4))])
-        results_block = ColumnBlock.create(_result_specs(n))
-        try:
+        bounds = [(int(part[0]), int(part[-1]) + 1)
+                  for part in np.array_split(np.arange(self.trials),
+                                             min(jobs, self.trials))]
+        factors_spec = [("factors", np.float64, (self.trials, 4))]
+        with ColumnBlock.create(factors_spec) as factors_block, \
+                ColumnBlock.create(_result_specs(n)) as results_block:
             np.copyto(factors_block.column("factors"), factors)
             tiers = tuple(self.tiers)
             tasks = [(self.config, tiers, t_lo, t_hi,
                       factors_block.name, results_block.name,
                       self.trials, n_tiers, chunk_size)
-                     for t_lo, t_hi in bounds if t_hi > t_lo]
+                     for t_lo, t_hi in bounds]
+            # Spans recorded in workers never reach the parent; span the
+            # fan-out here so --trace-out still sees the run.
             with tracer.wall_span("fleet.run", track="fleet") as span:
-                with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-                    outcomes = list(pool.map(_run_fleet_shard_shm,
-                                             tasks))
+                outcomes = pool.parallel_map(_run_fleet_shard_shm, tasks,
+                                             jobs=len(tasks))
             batch_priced = sum(o[0] for o in outcomes)
             scalar_fallback = sum(o[1] for o in outcomes)
             alloc_bytes = sum(o[2] for o in outcomes)
@@ -1049,7 +981,6 @@ class FleetStudy:
             del columns  # release segment views before destroy()
             if tracer.enabled and span.args is None:
                 span.args = {"rollouts": n, "jobs": jobs,
-                             "transport": "shm",
                              "batch_priced": batch_priced,
                              "scalar_fallback": scalar_fallback,
                              "alloc_bytes": alloc_bytes}
@@ -1059,9 +990,6 @@ class FleetStudy:
                 batch_priced=batch_priced,
                 scalar_fallback=scalar_fallback,
                 alloc_bytes=alloc_bytes)
-        finally:
-            factors_block.destroy()
-            results_block.destroy()
 
     def _summarize(self, fleet: FleetResult) -> List[TierStatistics]:
         by_tier: Dict[str, List[MissionResult]] = {}

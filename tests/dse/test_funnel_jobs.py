@@ -43,3 +43,31 @@ class TestFunnelJobs:
                       config=FunnelConfig(inner="random"),
                       evaluator=evaluator)
         assert evaluator.stats()["batch_shards"] == 0
+
+
+def test_funnel_starts_at_most_one_pool(monkeypatch):
+    import concurrent.futures
+
+    from repro.dse.objectives import codesign_space_xl, mission_objective
+    from repro.engine import pool
+
+    starts = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    pool.shutdown()
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        CountingPool)
+    evaluator = Evaluator(mission_objective, jobs=2)
+    serial = Evaluator(mission_objective)
+    space = codesign_space_xl()
+    sharded, _ = funnel_search(space, budget=2048, evaluator=evaluator)
+    reference, _ = funnel_search(space, budget=2048, evaluator=serial)
+    # Every tier (pricing screen, fleet screen, mission DES) priced on
+    # the pool, all through the one pool started for the first.
+    assert evaluator.stats()["batch_shards"] > 0
+    assert len(starts) <= 1
+    assert sharded.history == reference.history

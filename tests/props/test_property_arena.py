@@ -14,9 +14,9 @@ Two claims are under test, both strict (bit-for-bit, not approximate):
 
 2. **Transport is invisible.**  Sharding a :class:`FleetStudy`
    population over ``jobs=2`` with the shared-memory column transport
-   returns results equal to the serial run (and to the pickled
-   transport) — the zero-copy path changes how bytes move, never what
-   they are.
+   returns results equal to the serial run (as does ``jobs=2`` without
+   shared memory, which runs serially) — the zero-copy path changes how
+   bytes move, never what they are.
 """
 
 import dataclasses
@@ -137,10 +137,10 @@ def test_shm_jobs2_equals_serial(seed, trials):
                        seed=seed)
     serial = study.run()
     shm = study.run(jobs=2)
-    # Without shared memory the study falls back to row pickling.
+    # Without shared memory a jobs=2 study runs serially.
     with mock.patch("repro.system.fleet.shm_available",
                     return_value=False):
-        pickled = study.run(jobs=2)
+        no_shm = study.run(jobs=2)
     assert shm.fleet.results == serial.fleet.results
-    assert pickled.fleet.results == serial.fleet.results
+    assert no_shm.fleet.results == serial.fleet.results
     assert shm.statistics == serial.statistics

@@ -2,9 +2,9 @@
 
 Complements ``tests/system/test_fleet.py`` (scalar equivalence,
 allocation accounting): here the contract is that ``chunk_size`` and
-the ``jobs > 1`` shard transport (shared memory where available, row
-pickling otherwise) change *where bytes live and move*, never what any
-result is — chunked == unchunked, shm == pickle == serial — plus the
+the ``jobs > 1`` shared-memory shard transport (serial where shared
+memory is unavailable) change *where bytes live and move*, never what
+any result is — chunked == unchunked, shm == serial — plus the
 telemetry those paths publish and the errors they raise when
 misconfigured.
 """
@@ -92,9 +92,9 @@ class TestStudyTransport:
     def serial(self, study):
         return study.run()
 
-    def test_pickle_transport_equals_serial(self, study, serial,
-                                            monkeypatch):
-        # Without shared memory the study falls back to row pickling.
+    def test_no_shared_memory_runs_serial(self, study, serial,
+                                          monkeypatch):
+        # Without shared memory a jobs=2 study runs serially.
         monkeypatch.setattr("repro.system.fleet.shm_available",
                             lambda: False)
         parallel = study.run(jobs=2)

@@ -7,6 +7,7 @@ tier-1.
 
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -115,3 +116,14 @@ class TestServeSmoke:
         result = _submit_cli(port)
         assert result.returncode == 2
         assert "nothing to do" in result.stderr
+
+    def test_shutdown_with_idle_client_is_clean(self, daemon_process):
+        proc, port, _ = daemon_process
+        # A connected client that never sends a line: the daemon must
+        # close it on shutdown, not cancel its handler mid-read.
+        with socket.create_connection(("127.0.0.1", port), timeout=30):
+            result = _submit_cli(port, "--shutdown")
+            assert result.returncode == 0, result.stderr
+            assert proc.wait(timeout=60) == 0
+        stderr = proc.stderr.read()
+        assert "Traceback" not in stderr, stderr
