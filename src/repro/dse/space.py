@@ -56,13 +56,16 @@ class DesignSpace:
         if len(set(names)) != len(names):
             raise SearchError(f"duplicate parameter names: {names}")
         self.parameters = list(parameters)
-
-    @property
-    def size(self) -> int:
+        # Parameters are never mutated, so the product is computed once
+        # (config_at checks its range on every call).
         size = 1
         for p in self.parameters:
             size *= p.cardinality
-        return size
+        self._size = size
+
+    @property
+    def size(self) -> int:
+        return self._size
 
     def fingerprint_spec(self) -> Dict[str, Any]:
         """Identity for :func:`repro.engine.fingerprint.fingerprint`:

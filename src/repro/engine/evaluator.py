@@ -293,17 +293,14 @@ class Evaluator:
             tier_name = tier.name
         keys = [self.key_for(candidate, namespace)
                 for candidate in candidates]
-        values: Dict[str, Any] = {}
+        # One probe per batch, over the distinct keys in first-seen
+        # order (a duplicate is answered by its first occurrence).
+        values = self.cache.get_many(dict.fromkeys(keys))
         fresh_keys: set = set()
         pending: Dict[str, Any] = {}
         for key, candidate in zip(keys, candidates):
-            if key in values or key in pending:
-                continue
-            hit, value = self.cache.get(key)
-            if hit:
-                values[key] = value
-            else:
-                pending[key] = candidate
+            if key not in values:
+                pending.setdefault(key, candidate)
         wall: Dict[str, float] = {}
         if pending:
             order = list(pending)
@@ -316,8 +313,9 @@ class Evaluator:
                     [self.seed_for(k) for k in window],
                     scalar_fn, batch_fn, tier_name,
                 )
+                self.cache.put_many(
+                    (key, value) for key, (value, _) in zip(window, outcomes))
                 for key, (value, wall_s) in zip(window, outcomes):
-                    self.cache.put(key, value)
                     values[key] = value
                     wall[key] = wall_s
                     fresh_keys.add(key)

@@ -377,16 +377,10 @@ class EvalServer:
         # against the queue bound.
         keys = [lane.evaluator.key_for(candidate)
                 for candidate in submission.candidates]
-        resolved: Dict[str, Any] = {}
-        new_keys: List[str] = []
-        for key, candidate in zip(keys, submission.candidates):
-            if key in resolved or key in lane.pending:
-                continue
-            hit, value = self.cache.get(key)
-            if hit:
-                resolved[key] = value
-            else:
-                new_keys.append(key)
+        probe = [key for key in dict.fromkeys(keys)
+                 if key not in lane.pending]
+        resolved = self.cache.get_many(probe)
+        new_keys = [key for key in probe if key not in resolved]
         if new_keys and not submission.no_coalesce \
                 and self._queue_depth() + len(new_keys) \
                 > self.config.max_queue:

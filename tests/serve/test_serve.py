@@ -13,7 +13,7 @@ import threading
 import time
 
 from repro.cli import main
-from repro.engine import Evaluator
+from repro.engine import Evaluator, ResultCache
 from repro.serve import ServeClient
 from repro.serve.protocol import encode_line, evaluator_context
 from repro.spec.registry import OBJECTIVES, SPACES
@@ -214,6 +214,49 @@ class TestCacheSharing:
             stats = client.stats()
         assert stats["cache"]["hits"] >= 2
         assert stats["cache"]["misses"] >= 2
+
+
+    def test_oracle_thread_writes_while_loop_thread_reads(self, daemon,
+                                                          tmp_path):
+        # Overlapping windows from concurrent clients: the loop thread
+        # probes the store while the oracle thread appends to it, and a
+        # 4-entry memory level sends most probes back to the segment.
+        cache = str(tmp_path / "cache")
+        handle = daemon(max_wait_ms=5.0, cache_dir=cache,
+                        cache_max_entries=4)
+        envelopes = []
+        failures = []
+
+        def worker(rank):
+            try:
+                with handle.client() as client:
+                    for lo in range(rank, 32, 4):
+                        envelopes.append(client.submit(
+                            space="codesign",
+                            indices=list(range(lo, lo + 6))))
+            except Exception as error:  # noqa: BLE001 -- reported below
+                failures.append(error)
+
+        threads = [threading.Thread(target=worker, args=(rank,))
+                   for rank in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        handle.stop()
+        assert not failures
+        served = {}
+        for envelope in envelopes:
+            assert envelope["ok"], envelope
+            for result in envelope["results"]:
+                served[result["key"]] = result["value"]
+        serial = Evaluator(OBJECTIVES.get("suite_objective"),
+                           context=evaluator_context("suite_objective"))
+        assert served == {r.key: r.value for r in serial.map_batch(
+            [SPACE.config_at(i) for i in range(37)])}
+        store = ResultCache(cache)
+        assert store.get_many(served) == served
+        assert store.metrics.value("engine.cache.corrupt") == 0
 
 
 class TestAdmissionControl:
