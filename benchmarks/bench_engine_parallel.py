@@ -15,10 +15,7 @@ repetition to emulate the expensive simulators the engine exists for
 (a real candidate evaluation is a closed-loop mission or RTL run, not
 a 0.2 ms roofline pass).
 
-The parallel measurement lives in the benchmark registry
-(:func:`repro.bench.builtin.run_engine_parallel` — the same runner
-``repro bench --filter engine_parallel`` executes); running this file
-directly appends the result to ``BENCH_LEDGER.jsonl``.
+Running this file directly prints the parallel measurement.
 """
 
 import os
@@ -27,9 +24,8 @@ import time
 
 import pytest
 
-from repro.bench import append_records, get_benchmark, ledger_record
 from repro.dse.objectives import codesign_space, suite_objective
-from repro.engine import Evaluator, ResultCache
+from repro.engine import Evaluator, ResultCache, pool
 
 REPS = 120          # oracle weight: ~30 ms per candidate
 BATCH = 24          # candidates per run
@@ -39,23 +35,40 @@ MIN_SPEEDUP = 1.5   # required parallel win (4 workers, conservative)
 
 
 def heavy_objective(candidate):
-    """An artificially expensive oracle (module-level: picklable)."""
+    """An artificially expensive oracle.  Module-level so it pickles:
+    an objective that cannot pickle is priced in-process, which would
+    silently take the parallelism out of :func:`run_engine_parallel`."""
     value = 0.0
     for _ in range(REPS):
         value = suite_objective(candidate)
     return value
 
 
-def _candidates():
+def _candidates(size=BATCH):
     space = codesign_space()
-    step = max(1, space.size // BATCH)
-    return [space.config_at(i * step) for i in range(BATCH)]
+    step = max(1, space.size // size)
+    return [space.config_at(i * step) for i in range(size)]
 
 
 def _timed(evaluator, candidates):
     started = time.perf_counter()
     results = evaluator.map_batch(candidates)
     return time.perf_counter() - started, [r.value for r in results]
+
+
+def run_engine_parallel(size):
+    """Serial-vs-process-pool evaluation of ``size`` heavy candidates
+    (S2); asserts the two runs return identical values."""
+    candidates = _candidates(size)
+    serial_s, serial = _timed(Evaluator(heavy_objective), candidates)
+    parallel_s, parallel = _timed(
+        Evaluator(heavy_objective, jobs=JOBS), candidates)
+    assert serial == parallel
+    return {
+        "serial_per_s": round(size / serial_s, 2),
+        "parallel_per_s": round(size / parallel_s, 2),
+        "speedup": round(serial_s / parallel_s, 2),
+    }
 
 
 def _available_cpus():
@@ -66,13 +79,11 @@ def _available_cpus():
 
 
 def test_parallel_speedup_and_identity(report):
-    # Runs through the registered entry (which asserts serial ==
-    # parallel values internally) so this certification and
-    # ``repro bench`` measure the same code.
-    entry = get_benchmark("engine_parallel")
+    # run_engine_parallel asserts serial == parallel values.
+    assert pool.picklable(heavy_objective)
     best = None
     for _ in range(ATTEMPTS):
-        metrics = entry.run(BATCH)
+        metrics = run_engine_parallel(BATCH)
         speedup = metrics["speedup"]
         best = max(best, speedup) if best is not None else speedup
         if best >= MIN_SPEEDUP:
@@ -119,22 +130,12 @@ def test_cache_hit_rate_and_replay_cost(report):
     assert warm_s < cold_s / 10
 
 
-def main(ledger_path="BENCH_LEDGER.jsonl"):
-    entry = get_benchmark("engine_parallel")
-    records = []
-    for size in entry.sizes:
-        started = time.perf_counter()
-        metrics = entry.run(size)
-        records.append(ledger_record(
-            entry.name, size, metrics,
-            time.perf_counter() - started,
-            config={"script": "bench_engine_parallel.py"}))
-        print(f"{size:>6} candidates:"
-              f" serial {metrics['serial_per_s']:.2f}/s,"
-              f" parallel {metrics['parallel_per_s']:.2f}/s,"
-              f" speedup {metrics['speedup']:.2f}x")
-    append_records(ledger_path, records)
-    print(f"appended {len(records)} record(s) to {ledger_path}")
+def main():
+    metrics = run_engine_parallel(BATCH)
+    print(f"{BATCH:>6} candidates:"
+          f" serial {metrics['serial_per_s']:.2f}/s,"
+          f" parallel {metrics['parallel_per_s']:.2f}/s,"
+          f" speedup {metrics['speedup']:.2f}x")
     return 0
 
 

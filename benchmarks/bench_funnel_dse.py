@@ -5,12 +5,7 @@ stream through the objective's fidelity ladder — batch pricing first,
 full closed-loop DES only for gate survivors — beats paying full
 fidelity for every candidate by an order of magnitude (>= 10x on the
 high-resolution patrol setting), while landing on the *same* optimum
-(screen regret 0, certified per run by the registered runner).
-
-The measurement lives in the benchmark registry
-(:func:`repro.bench.builtin.run_funnel_dse` — the same runner
-``repro bench --filter funnel_dse`` executes), so this script, the
-CLI, and the perf ledger can never measure different things.
+(screen regret 0, certified per run by :func:`run_funnel_dse`).
 
 This script additionally computes the S7 *rank-fidelity* analysis the
 speedup rests on: the Spearman correlation between cheap-tier and
@@ -24,17 +19,22 @@ Two entry points:
   funnel must not lose to single-fidelity search, the screen must be
   rank-faithful, and the default gates must keep the true optimum;
 - ``python benchmarks/bench_funnel_dse.py`` — the full sweep plus the
-  S7 table, printed, written to ``BENCH_funnel_dse.json``, and
-  appended to ``BENCH_LEDGER.jsonl`` as provenance-stamped records.
+  S7 table, printed (the numbers quoted in EXPERIMENTS.md S7).
 """
 
-import json
+import gc
 import sys
 import time
 
 import numpy as np
 
-from repro.bench import append_records, get_benchmark, ledger_record
+from repro.dse.funnel import funnel_search
+from repro.dse.objectives import (MissionObjective, codesign_space,
+                                  codesign_space_xl, mission_objective,
+                                  mission_setting, suite_objective)
+from repro.dse.search import RandomStrategy
+from repro.engine.cache import ResultCache
+from repro.engine.evaluator import Evaluator
 
 SIZES = (4_000, 20_000)
 SMOKE_SIZE = 256
@@ -79,9 +79,6 @@ def s7_report(mission_sample=512, seed=7):
     roofline screen over the *fully enumerated* codesign space, and
     the mission objective's pricing screen over a seeded sample of the
     million-point space (full DES on every sampled candidate)."""
-    from repro.dse.objectives import (codesign_space, codesign_space_xl,
-                                      mission_objective, suite_objective)
-
     space = codesign_space()
     configs = [space.config_at(i) for i in range(space.size)]
     suite_row = rank_fidelity(
@@ -97,30 +94,87 @@ def s7_report(mission_sample=512, seed=7):
             "mission_pricing_vs_des": mission_row}
 
 
-def sweep(sizes=SIZES):
-    """Measure each search budget through the registered entry (the
-    runner certifies tier-equivalence replay and screen regret >= 0
-    before any rate is reported)."""
-    entry = get_benchmark("funnel_dse")
-    records = []
-    for n in sizes:
+def run_funnel_dse(size):
+    """Funnel search vs. single-fidelity full-DES search (S7).
+
+    Both sides consume the *same* seeded proposal stream over the
+    million-point ``codesign_xl`` space against a mission objective
+    flying a high-resolution patrol (four laps at a 10 ms integration
+    step — the fidelity regime the funnel is for; the screen proxy is
+    closed-form, so its cost does not grow with DES resolution).  The
+    baseline prices every candidate at the top tier (the scalar
+    closed-loop DES — what a single-fidelity search must pay); the
+    funnel screens at batch-pricing fidelity, promotes through the
+    fleet tier, and pays DES only for top-tier survivors.  The run
+    also certifies the tier-equivalence contract: a fresh evaluator
+    sharing the funnel's cache must answer the best config from cache
+    with zero oracle calls.
+    """
+    seed = 7
+    space = codesign_space_xl()
+    objective = MissionObjective(
+        mission_setting(laps=4, time_step_s=0.01))
+    # Warm the mission setting (course planning, frame SoA) so neither
+    # timed side pays one-off setup.
+    probe = space.config_at(0)
+    objective(probe)
+    objective.pricing_screen(probe)
+
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        # Baseline: the identical proposal stream, every candidate at
+        # full fidelity (tier="mission" forces the scalar DES path).
+        strategy = RandomStrategy(space, budget=size, seed=seed)
+        base_eval = Evaluator(objective)
         started = time.perf_counter()
-        metrics = entry.run(n)
-        records.append(ledger_record(
-            entry.name, n, metrics,
-            time.perf_counter() - started,
-            config={"script": "bench_funnel_dse.py"}))
-    return records
+        while not strategy.finished():
+            batch = strategy.ask()
+            if not batch:
+                break
+            strategy.tell(base_eval.map_batch(batch, tier="mission"))
+        baseline = strategy.result()
+        baseline_s = time.perf_counter() - started
+
+        cache = ResultCache()
+        started = time.perf_counter()
+        result, funnel = funnel_search(
+            space, objective, budget=size, seed=seed,
+            cache=cache)
+        funnel_s = time.perf_counter() - started
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+    # Tier-equivalence replay: top-tier funnel entries are legacy-keyed.
+    replay = Evaluator(objective, cache=cache)
+    (hit,) = replay.map_batch([result.best_config])
+    assert hit.cached and replay.stats()["oracle_calls"] == 0, \
+        "funnel-primed cache did not replay under direct evaluation"
+    assert hit.value == result.best_value
+
+    report = funnel.tier_report()
+    screened = report[0]["evaluated"]
+    reached = report[-1]["evaluated"]
+    # >= 0 by construction: the funnel's top-tier evaluations are a
+    # subset of the baseline's, priced identically.
+    regret = result.best_value - baseline.best_value
+    return {
+        "full_fidelity_per_s": round(size / baseline_s, 1),
+        "funnel_per_s": round(size / funnel_s, 1),
+        "speedup": round(baseline_s / funnel_s, 2),
+        "top_tier_frac": round(reached / screened, 4),
+        "screen_regret": round(regret, 4),
+    }
 
 
 def test_funnel_not_slower_than_full_fidelity(report=None):
     """CI smoke: even at a small budget the funnel must not lose to
     pricing every candidate at full fidelity, and its best config must
     be the one the full-fidelity stream would have found."""
-    entry = get_benchmark("funnel_dse")
     best = None
     for _ in range(ATTEMPTS):
-        metrics = entry.run(SMOKE_SIZE)
+        metrics = run_funnel_dse(SMOKE_SIZE)
         assert metrics["screen_regret"] == 0.0, (
             f"funnel missed the stream optimum by"
             f" {metrics['screen_regret']}")
@@ -150,11 +204,8 @@ def test_screens_are_rank_faithful():
     assert mission_row["min_keep_fraction"] <= 0.05, mission_row
 
 
-def main(out_path="BENCH_funnel_dse.json",
-         ledger_path="BENCH_LEDGER.jsonl"):
-    records = sweep()
-    rows = [{"budget": record["size"], **record["metrics"]}
-            for record in records]
+def main():
+    rows = [{"budget": n, **run_funnel_dse(n)} for n in SIZES]
     header = (f"{'budget':>7} {'full/s':>9} {'funnel/s':>10} "
               f"{'speedup':>8} {'top-tier':>9} {'regret':>7}")
     print(header)
@@ -171,17 +222,6 @@ def main(out_path="BENCH_funnel_dse.json",
               f" optimum screen rank={row['optimum_screen_rank']}"
               f" (keep >= {row['min_keep_fraction']:.2%})")
 
-    with open(out_path, "w") as handle:
-        json.dump({"benchmark": "funnel_dse",
-                   "objective": "mission_objective"
-                                " (laps=4, time_step_s=0.01)",
-                   "space": "codesign_xl",
-                   "rows": rows, "rank_fidelity": report},
-                  handle, indent=2)
-        handle.write("\n")
-    print(f"wrote {out_path}")
-    append_records(ledger_path, records)
-    print(f"appended {len(records)} record(s) to {ledger_path}")
     slowest = min(row["speedup"] for row in rows)
     if slowest < TARGET_SPEEDUP:
         print(f"WARNING: funnel speedup ({slowest:.1f}x) below the"

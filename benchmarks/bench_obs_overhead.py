@@ -17,11 +17,10 @@ branches.  This bench certifies the budget two ways:
 import sys
 import time
 
-from repro.bench import append_records, get_benchmark, ledger_record
 from repro.core.profile import WorkloadProfile
 from repro.core.workload import Stage, TaskGraph
 from repro.system.pipeline import PipelineSimulation
-from repro.telemetry import Tracer
+from repro.telemetry import SpanProfiler, Tracer
 
 DURATION_S = 60.0
 REPS = 5
@@ -35,7 +34,8 @@ ATTEMPTS = 3  # re-measure on a noisy machine before failing
 # state, nested captures stacking), not to promise cheap profiling.
 # The *disabled* path stays under the 5% budget certified above.
 PROFILED_BUDGET = 8.0
-PROFILE_DURATION_S = 5.0  # registry smoke size: plenty of samples
+PROFILE_DURATION_S = 5.0  # smoke size: plenty of samples
+PROFILE_REPS = 3
 
 
 def _graph():
@@ -55,13 +55,17 @@ def _graph():
     ])
 
 
-def _run_once(tracer):
+def _run_once(tracer, duration_s=DURATION_S, profiled=False):
     graph = _graph()
     service = {"sense": 1e-3, "track": 2e-3, "plan": 3e-3,
                "act": 1e-3}
     simulation = PipelineSimulation(graph, service, tracer=tracer)
     started = time.perf_counter()
-    result = simulation.run(DURATION_S)
+    if profiled:
+        with tracer.profile_span("pipeline.run", track="bench"):
+            result = simulation.run(duration_s)
+    else:
+        result = simulation.run(duration_s)
     elapsed = time.perf_counter() - started
     return elapsed, result
 
@@ -86,6 +90,35 @@ def _measure():
         assert traced_result.end_to_end_latencies == \
             result.end_to_end_latencies
     return min(off_a), min(off_b), min(on), completed, tracer
+
+
+def run_obs_overhead(duration_s):
+    """Pipeline-sim throughput: tracing off vs. on vs. on-with-profiling
+    over ``duration_s`` simulated seconds, min of ``PROFILE_REPS``
+    interleaved repetitions.  Asserts all three paths complete the same
+    samples."""
+    _run_once(None, duration_s)  # warmup
+    off, on, profiled = [], [], []
+    completed = 0
+    for _ in range(PROFILE_REPS):
+        elapsed, result = _run_once(None, duration_s)
+        off.append(elapsed)
+        completed = result.samples_completed
+        elapsed, on_result = _run_once(Tracer(), duration_s)
+        on.append(elapsed)
+        assert on_result.samples_completed == completed
+        tracer = Tracer()
+        tracer.profiler = SpanProfiler(cpu=True, top_n=5)
+        elapsed, prof_result = _run_once(tracer, duration_s,
+                                         profiled=True)
+        profiled.append(elapsed)
+        assert prof_result.samples_completed == completed
+    off_s, on_s, profiled_s = min(off), min(on), min(profiled)
+    return {
+        "samples_per_s": round(completed / off_s, 1),
+        "on_off_ratio": round(on_s / off_s, 3),
+        "profiled_off_ratio": round(profiled_s / off_s, 3),
+    }
 
 
 def test_obs_overhead_budget(report):
@@ -130,14 +163,12 @@ def test_obs_overhead_budget(report):
 
 def test_profiling_overhead_budget(report):
     """The enabled-with-profiling path must stay within its documented
-    (generous) budget.  Runs through the registered entry — the same
-    runner ``repro bench --filter obs_overhead`` executes — which
-    interleaves off/on/profiled and asserts identical simulation
-    results on all three paths."""
-    entry = get_benchmark("obs_overhead")
+    (generous) budget.  :func:`run_obs_overhead` interleaves
+    off/on/profiled and asserts identical simulation results on all
+    three paths."""
     best = None
     for _ in range(ATTEMPTS):
-        metrics = entry.run(int(PROFILE_DURATION_S))
+        metrics = run_obs_overhead(PROFILE_DURATION_S)
         ratio = metrics["profiled_off_ratio"]
         best = min(best, ratio) if best is not None else ratio
         if best <= PROFILED_BUDGET:
@@ -150,22 +181,12 @@ def test_profiling_overhead_budget(report):
         f" (budget {PROFILED_BUDGET:.0f}x)")
 
 
-def main(ledger_path="BENCH_LEDGER.jsonl"):
-    entry = get_benchmark("obs_overhead")
-    records = []
-    for size in entry.sizes:
-        started = time.perf_counter()
-        metrics = entry.run(size)
-        records.append(ledger_record(
-            entry.name, size, metrics,
-            time.perf_counter() - started,
-            config={"script": "bench_obs_overhead.py"}))
-        print(f"{size:>4}s sim: {metrics['samples_per_s']:.0f}"
-              f" samples/s off, on/off"
-              f" {metrics['on_off_ratio']:.2f}x, profiled/off"
-              f" {metrics['profiled_off_ratio']:.2f}x")
-    append_records(ledger_path, records)
-    print(f"appended {len(records)} record(s) to {ledger_path}")
+def main():
+    metrics = run_obs_overhead(DURATION_S)
+    print(f"{DURATION_S:>4.0f}s sim: {metrics['samples_per_s']:.0f}"
+          f" samples/s off, on/off"
+          f" {metrics['on_off_ratio']:.2f}x, profiled/off"
+          f" {metrics['profiled_off_ratio']:.2f}x")
     return 0
 
 

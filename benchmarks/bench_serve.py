@@ -6,13 +6,8 @@ request — the worst case the daemon exists for), the coalescer merges
 all tenants' cache misses into shared SoA batches and the aggregate
 throughput beats per-request pricing by >= 3x, with mean flushed-batch
 occupancy >= 512 at the full 8-clients x 128-candidates setting.
-Values are certified identical to direct pricing in every run (the
-registered runner asserts it before reporting any rate).
-
-The measurement lives in the benchmark registry
-(:func:`repro.bench.builtin.run_serve_coalesce` — the same runner
-``repro bench --filter serve_coalesce`` executes), so this script, the
-CLI, and the perf ledger can never measure different things.
+Values are certified identical to direct pricing in every run
+(:func:`run_serve_coalesce` asserts it before reporting any rate).
 
 Two entry points:
 
@@ -20,47 +15,150 @@ Two entry points:
   batches must form across clients and must not lose to per-request
   pricing;
 - ``python benchmarks/bench_serve.py`` — the full 8x128 measurement,
-  printed, written to ``BENCH_serve.json``, and appended to
-  ``BENCH_LEDGER.jsonl`` as provenance-stamped records.
+  printed (the numbers quoted in EXPERIMENTS.md S8).
 """
 
-import json
+import asyncio
 import sys
+import threading
 import time
 
-from repro.bench import append_records, get_benchmark, ledger_record
+from repro.dse.objectives import codesign_space_xl, suite_objective
+from repro.serve import EvalServer, ServeClient, ServeConfig
 
 SIZES = (1_024,)
 SMOKE_SIZE = 128
 ATTEMPTS = 3            # re-measure on a noisy machine before failing
 TARGET_SPEEDUP = 3.0    # the acceptance gate, at the full size
 TARGET_OCCUPANCY = 512.0
+CLIENTS = 8
+REPS = 3
 
 
-def sweep(sizes=SIZES):
-    """Measure each traffic size through the registered entry (the
-    runner certifies served == direct values before any rate is
-    reported)."""
-    entry = get_benchmark("serve_coalesce")
-    records = []
-    for n in sizes:
-        started = time.perf_counter()
-        metrics = entry.run(n)
-        records.append(ledger_record(
-            entry.name, n, metrics,
-            time.perf_counter() - started,
-            config={"script": "bench_serve.py"}))
-    return records
+def _population(n):
+    space = codesign_space_xl()
+    return [space.config_at(i * 997 % space.size) for i in range(n)]
+
+
+def _daemon(config):
+    """An EvalServer on its own event-loop thread (the bench drives it
+    with blocking clients, exactly like production traffic)."""
+    server = EvalServer(config)
+    ready = threading.Event()
+    box = {}
+
+    def main() -> None:
+        async def body() -> None:
+            await server.start()
+            box["loop"] = asyncio.get_running_loop()
+            ready.set()
+            await server.run()
+
+        asyncio.run(body())
+
+    thread = threading.Thread(target=main, daemon=True)
+    thread.start()
+    assert ready.wait(30), "bench daemon failed to start"
+
+    def stop() -> None:
+        box["loop"].call_soon_threadsafe(server.request_stop)
+        thread.join(60)
+
+    return server, stop
+
+
+def _traffic(candidates, clients, no_coalesce, max_batch):
+    """One traffic wave: ``clients`` threads each pipeline their share
+    as single-candidate requests (the sub-critical shape coalescing
+    exists for).  Returns (aggregate rate, values, serve stats)."""
+    server, stop = _daemon(ServeConfig(
+        max_batch=max_batch, max_wait_ms=2000.0,
+        max_queue=len(candidates) + 1,
+        max_inflight=len(candidates) + 1))
+    per_client = len(candidates) // clients
+    barrier = threading.Barrier(clients + 1)
+    values = {}
+
+    def worker(rank: int) -> None:
+        share = candidates[rank * per_client:(rank + 1) * per_client]
+        with ServeClient(port=server.port, timeout=600.0) as client:
+            messages = [client.submit_message(
+                [candidate], tenant=f"bench{rank}",
+                no_coalesce=no_coalesce) for candidate in share]
+            barrier.wait()
+            envelopes = client.pipeline(messages)
+        assert all(envelope["ok"] for envelope in envelopes)
+        values[rank] = [envelope["results"][0]["value"]
+                        for envelope in envelopes]
+
+    threads = [threading.Thread(target=worker, args=(rank,))
+               for rank in range(clients)]
+    for thread in threads:
+        thread.start()
+    barrier.wait()
+    started = time.perf_counter()
+    for thread in threads:
+        thread.join()
+    wall = time.perf_counter() - started
+    stats = server.stats()["serve"]
+    stop()
+    flat = [value for rank in sorted(values)
+            for value in values[rank]]
+    return len(candidates) / wall, flat, stats
+
+
+def run_serve_coalesce(size):
+    """Cross-client batch coalescing vs. per-request pricing.
+
+    ``size`` candidates split over 8 concurrent clients (4 below 1k),
+    every candidate its own pipelined request — the sub-critical
+    traffic the daemon exists for.  Baseline: the same requests with
+    coalescing disabled, so batch size is forced to per-request (1).
+    Coalesced: ``max_batch = size`` merges all tenants' misses into
+    one full-population flush, triggered by the last candidate parking
+    (occupancy, not deadline — the 2 s deadline is a safety net, so a
+    scheduling-starved client can never split the batch).  Values must
+    be identical in both modes and identical to pricing the population
+    directly — the coalescer changes when and with whom candidates are
+    priced, never what.
+    """
+    clients = CLIENTS if size >= 1024 else 4
+    candidates = _population(size)
+    direct = suite_objective.evaluate_batch(candidates)  # also warms
+
+    baseline_per_s, coalesced_per_s = 0.0, 0.0
+    occupancy, coalesced_batches = 0.0, 0.0
+    for _ in range(REPS):
+        rate, values, _ = _traffic(
+            candidates, clients, no_coalesce=True, max_batch=1)
+        assert values == direct, (
+            f"per-request served values diverged at n={size}")
+        baseline_per_s = max(baseline_per_s, rate)
+        rate, values, stats = _traffic(
+            candidates, clients, no_coalesce=False, max_batch=size)
+        assert values == direct, (
+            f"coalesced served values diverged at n={size}")
+        if rate > coalesced_per_s:
+            coalesced_per_s = rate
+            occupancy = stats["batch_occupancy"]["mean"]
+            coalesced_batches = stats["coalesced_batches"]
+    assert coalesced_batches >= 1, "no cross-client batch was merged"
+    return {
+        "baseline_per_s": round(baseline_per_s, 1),
+        "coalesced_per_s": round(coalesced_per_s, 1),
+        "speedup": round(coalesced_per_s / baseline_per_s, 2),
+        "mean_flush_occupancy": round(occupancy, 1),
+        "coalesced_batches": float(coalesced_batches),
+    }
 
 
 def test_coalescing_beats_per_request_pricing():
     """CI smoke: even at a small population with 4 clients, merging
     cross-client misses into shared batches must beat pricing each
     request alone, and at least one flush must actually coalesce."""
-    entry = get_benchmark("serve_coalesce")
     best = None
     for _ in range(ATTEMPTS):
-        metrics = entry.run(SMOKE_SIZE)
+        metrics = run_serve_coalesce(SMOKE_SIZE)
         if best is None or metrics["speedup"] > best["speedup"]:
             best = metrics
         if best["speedup"] >= 1.5:
@@ -72,11 +170,8 @@ def test_coalescing_beats_per_request_pricing():
         f" {best['speedup']:.2f}x")
 
 
-def main(out_path="BENCH_serve.json",
-         ledger_path="BENCH_LEDGER.jsonl"):
-    records = sweep()
-    rows = [{"candidates": record["size"], **record["metrics"]}
-            for record in records]
+def main():
+    rows = [{"candidates": n, **run_serve_coalesce(n)} for n in SIZES]
     header = (f"{'cand':>6} {'baseline/s':>11} {'coalesced/s':>12} "
               f"{'speedup':>8} {'occupancy':>10} {'merged':>7}")
     print(header)
@@ -87,18 +182,6 @@ def main(out_path="BENCH_serve.json",
               f"{row['speedup']:>7.2f}x "
               f"{row['mean_flush_occupancy']:>10.1f} "
               f"{row['coalesced_batches']:>7.0f}")
-
-    with open(out_path, "w") as handle:
-        json.dump({"benchmark": "serve_coalesce",
-                   "objective": "suite_objective",
-                   "clients": 8,
-                   "traffic": "single-candidate pipelined requests",
-                   "rows": rows},
-                  handle, indent=2)
-        handle.write("\n")
-    print(f"wrote {out_path}")
-    append_records(ledger_path, records)
-    print(f"appended {len(records)} record(s) to {ledger_path}")
 
     worst = min(row["speedup"] for row in rows)
     thinnest = min(row["mean_flush_occupancy"] for row in rows)

@@ -19,11 +19,6 @@ code:
   against a catalog platform;
 - ``trace``    — run an instrumented simulation and export a Chrome
   trace (open in Perfetto / ``chrome://tracing``), or summarize one;
-- ``bench``    — run registered benchmarks (``--list`` to discover
-  them); every run appends provenance-stamped records to the perf
-  ledger (``BENCH_LEDGER.jsonl``), and ``--check`` gates the gated
-  metrics against the committed baselines
-  (``BENCH_BASELINES.json``), exiting nonzero on regression;
 - ``run``      — execute a declarative scenario file (suite, mission,
   fleet, or dse) through the same code paths as the subcommands above,
   cache keys included;
@@ -988,188 +983,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.bench import (
-        REGISTRY,
-        append_records,
-        baselines_from_records,
-        check_monotone,
-        check_records,
-        ledger_record,
-        load_baselines,
-        load_builtins,
-        merge_baselines,
-        write_baselines,
-    )
-    from repro.errors import BenchmarkError
-
-    load_builtins()
-
-    selected = REGISTRY.select(args.filter)
-    if not selected:
-        print(f"no benchmark matches {args.filter!r}; registered:"
-              f" {', '.join(REGISTRY.names())}", file=sys.stderr)
-        return 2
-
-    if args.list:
-        print(format_table(
-            ["name", "sizes", "smoke", "gated metrics", "tags"],
-            [[entry.name,
-              ",".join(str(s) for s in entry.sizes),
-              ",".join(str(s) for s in entry.smoke_sizes),
-              ",".join(m.name for m in entry.gated_metrics()) or "-",
-              ",".join(entry.tags) or "-"]
-             for entry in selected],
-            title="Registered benchmarks",
-        ))
-        for entry in selected:
-            print(f"  {entry.name}: {entry.description}")
-        return 0
-
-    sizes_override = None
-    if args.sizes:
-        try:
-            sizes_override = tuple(
-                int(token) for token in args.sizes.split(",")
-                if token.strip())
-        except ValueError:
-            sizes_override = ()
-        if not sizes_override:
-            print(f"--sizes must be comma-separated integers"
-                  f" (got {args.sizes!r})", file=sys.stderr)
-            return 2
-
-    profiler = None
-    if args.profile:
-        from repro.telemetry import SpanProfiler
-
-        profiler = SpanProfiler(cpu=True, memory=True)
-
-    records = []
-    try:
-        for benchmark in selected:
-            sizes = sizes_override or (
-                benchmark.sizes if args.full
-                else benchmark.smoke_sizes)
-            rows = []
-            for size in sizes:
-                started = time.perf_counter()
-                if profiler is not None:
-                    with profiler.capture(
-                            f"{benchmark.name}@{size}",
-                            track="bench"):
-                        measured = benchmark.run(size)
-                else:
-                    measured = benchmark.run(size)
-                wall_s = time.perf_counter() - started
-                records.append(ledger_record(
-                    benchmark.name, size, measured, wall_s,
-                    seed=args.seed,
-                    config={"command": "bench",
-                            "filter": args.filter,
-                            "full": bool(args.full)}))
-                rows.append(
-                    [size]
-                    + [measured[m.name] for m in benchmark.metrics]
-                    + [round(wall_s, 3)])
-            print(format_table(
-                ["size"]
-                + [m.name + (f" ({m.unit})" if m.unit else "")
-                   for m in benchmark.metrics]
-                + ["wall (s)"],
-                rows,
-                title=f"{benchmark.name} — {benchmark.description}"))
-            print()
-    except BenchmarkError as error:
-        print(error, file=sys.stderr)
-        return 2
-
-    if profiler is not None:
-        from repro.telemetry import format_hotspots
-
-        print(format_hotspots(
-            profiler.hotspots(),
-            title="Hotspots (merged, by self time)"))
-        print()
-
-    if not args.no_ledger:
-        count = append_records(args.ledger, records)
-        print(f"appended {count} record(s) to {args.ledger}")
-
-    checks = []
-    regressions = []
-    monotone_checks = []
-    monotone_violations = []
-    if args.check:
-        baselines = load_baselines(args.baselines)
-        if not baselines:
-            print(f"no baselines at {args.baselines};"
-                  f" nothing to check", file=sys.stderr)
-        benchmarks = {entry.name: entry for entry in selected}
-        checks = check_records(records, baselines, benchmarks,
-                               args.threshold)
-        for check in checks:
-            marker = "REGRESSION" if check.regressed else "ok"
-            print(f"  [{marker}] {check.benchmark}@{check.size}"
-                  f" {check.metric}: {check.measured:g} vs baseline"
-                  f" {check.baseline:g} ({check.change:+.1%},"
-                  f" threshold -{check.threshold:.0%})")
-        regressions = [check for check in checks if check.regressed]
-        if regressions:
-            print(f"{len(regressions)} regression(s) beyond"
-                  f" {args.threshold:.0%}"
-                  + (" (warn-only)" if args.warn_only else ""),
-                  file=sys.stderr)
-        monotone_checks = check_monotone(records, benchmarks,
-                                         args.monotone_tolerance)
-        for check in monotone_checks:
-            marker = "NON-MONOTONE" if check.violated else "ok"
-            print(f"  [{marker}] {check.benchmark} {check.metric}:"
-                  f" {check.value:g} @{check.size} vs"
-                  f" {check.prev_value:g} @{check.prev_size}"
-                  f" (floor {check.tolerance:g}x)")
-        monotone_violations = [check for check in monotone_checks
-                               if check.violated]
-        if monotone_violations:
-            # Machine-independent (same-run) criterion: hard-fails
-            # even under --warn-only, which exists for noisy
-            # cross-machine baseline comparisons.
-            print(f"{len(monotone_violations)} monotonicity"
-                  f" violation(s) below"
-                  f" {args.monotone_tolerance:g}x", file=sys.stderr)
-
-    if args.update_baselines:
-        document = merge_baselines(args.baselines,
-                                   baselines_from_records(records))
-        write_baselines(args.baselines, document)
-        print(f"wrote {len(document['entries'])} baseline(s)"
-              f" to {args.baselines}")
-
-    if args.json:
-        document = {
-            "schema": "repro-bench-run/1",
-            "records": records,
-            "checks": [dataclasses.asdict(check)
-                       for check in checks],
-            "regressions": len(regressions),
-            "monotone_checks": [dataclasses.asdict(check)
-                                for check in monotone_checks],
-            "monotone_violations": len(monotone_violations),
-        }
-        if profiler is not None:
-            document["profile"] = profiler.report()
-        with open(args.json, "w") as handle:
-            json.dump(document, handle, indent=2, default=str)
-            handle.write("\n")
-        print(f"wrote bench JSON to {args.json}")
-
-    if monotone_violations:
-        return 1
-    return 1 if regressions and not args.warn_only else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1286,56 +1099,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write a span-scoped profile JSON:"
                             " per-phase hotspots + exact"
                             " bytes-allocated counters")
-
-    bench = sub.add_parser(
-        "bench",
-        help="run registered benchmarks; append provenance-stamped"
-             " records to the perf ledger, optionally gating against"
-             " the committed baselines")
-    bench.add_argument("--list", action="store_true",
-                       help="list matching benchmarks and exit")
-    bench.add_argument("--filter", default="",
-                       help="substring match on benchmark name or"
-                            " tags (e.g. 'smoke')")
-    bench.add_argument("--sizes",
-                       help="comma-separated workload sizes"
-                            " (overrides the smoke/full selection)")
-    bench.add_argument("--full", action="store_true",
-                       help="run the full sweep sizes instead of the"
-                            " smoke sizes")
-    bench.add_argument("--profile", action="store_true",
-                       help="span-profile each run and print merged"
-                            " hotspots")
-    bench.add_argument("--json",
-                       help="also write records + checks (+ profile)"
-                            " as JSON")
-    bench.add_argument("--ledger", default="BENCH_LEDGER.jsonl",
-                       help="perf ledger path (JSONL, appended)")
-    bench.add_argument("--no-ledger", action="store_true",
-                       help="do not append this run to the ledger")
-    bench.add_argument("--check", action="store_true",
-                       help="compare gated metrics against the"
-                            " baselines; exit 1 on regression")
-    bench.add_argument("--baselines", default="BENCH_BASELINES.json",
-                       help="committed baselines path")
-    bench.add_argument("--threshold", type=float, default=0.15,
-                       help="relative regression threshold for"
-                            " --check (0.15 = 15%%)")
-    bench.add_argument("--warn-only", action="store_true",
-                       help="report baseline regressions but exit 0"
-                            " (for noisy CI runners); same-run"
-                            " monotonicity violations still fail")
-    bench.add_argument("--monotone-tolerance", type=float, default=0.9,
-                       help="--check floor for monotone-declared"
-                            " metrics across a size sweep: each size's"
-                            " value must be >= this fraction of the"
-                            " previous size's (same-run, so it holds"
-                            " on any machine)")
-    bench.add_argument("--update-baselines", action="store_true",
-                       help="merge this run's results into the"
-                            " baselines file")
-    bench.add_argument("--seed", type=int, default=None,
-                       help="seed recorded in run provenance")
 
     serve = sub.add_parser(
         "serve",
@@ -1460,7 +1223,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "dse": _cmd_dse,
         "mission": _cmd_mission,
         "fleet": _cmd_fleet,
-        "bench": _cmd_bench,
         "fig1": _cmd_fig1,
         "verify": _cmd_verify,
         "trace": _cmd_trace,

@@ -373,9 +373,11 @@ def _apply_gate(gate: PromotionGate,
     """Survivors of ``gate`` over ``pool``, best-first; the bool flags
     a forced promotion (everyone died, best candidate promoted anyway).
     """
-    # Stable argsort == sorted(range(n), key=(value, index)): NumPy's
-    # stable kind preserves arrival order among ties, and (unlike
-    # Python sorted) costs O(n) Python work on a 100k-candidate pool.
+    # Stable argsort ranks by (value, arrival index) with NaN last,
+    # after every number (Python sorted has no such order under NaN).
+    # NumPy's stable kind preserves arrival order among ties and costs
+    # O(n) Python work on a 100k-candidate pool.  NaN <= threshold is
+    # False, so a NaN never passes a threshold gate.
     values = np.fromiter((value for _, value in pool),
                          dtype=np.float64, count=len(pool))
     order = np.argsort(values, kind="stable").tolist()

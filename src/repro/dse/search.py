@@ -78,7 +78,10 @@ def record(history: List[Tuple[Config, float]], trace: List[float],
     on the same sample-efficiency axes.
     """
     history.append((config, value))
-    best = value if not trace else min(trace[-1], value)
+    # The running best starts at +inf, so a NaN value never wins a
+    # comparison and never enters the trace (``best_value`` skips it
+    # the same way).
+    best = min(trace[-1] if trace else math.inf, value)
     trace.append(best)
     tracer = get_tracer()
     if tracer.enabled:
@@ -89,10 +92,6 @@ def record(history: List[Tuple[Config, float]], trace: List[float],
                              "value": value, "best": best})
         tracer.counter("dse.best", ts=float(iteration), value=best,
                        track="dse")
-
-
-#: Deprecated alias kept for backward compatibility; use :func:`record`.
-_record = record
 
 
 class ConfigStrategy(SearchStrategy):
@@ -129,14 +128,12 @@ class ConfigStrategy(SearchStrategy):
         # telemetry emit), so funnel screens ingesting tens of
         # thousands of cheap results don't pay three calls per result.
         history, trace = self.history, self.trace
-        running = trace[-1] if trace else None
+        running = trace[-1] if trace else math.inf
         best_value, best_config = self.best_value, self.best_config
         for result in results:
             value = result.value
             history.append((result.candidate, value))
-            # min(running, value), with record()'s first-entry rule
-            # (the first value seeds the trace unconditionally).
-            if running is None or value < running:
+            if value < running:     # min(running, value), as record()
                 running = value
             trace.append(running)
             if value < best_value:

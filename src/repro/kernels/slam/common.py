@@ -9,7 +9,7 @@ estimator *backends*; frontend association is exercised separately in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np

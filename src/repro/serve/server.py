@@ -3,7 +3,7 @@
 The paper's continuous-DSE argument (§3.1) needs pricing to be a
 *service*, not a one-shot job: the SoA kernels amortize best at batch
 sizes no single interactive client reaches (12x+ at 1k candidates per
-``BENCH_LEDGER``), so the server's job is to manufacture those batches
+EXPERIMENTS.md S3), so the server's job is to manufacture those batches
 out of many small requests.
 
 One :class:`EvalServer` owns, per objective, a :class:`Lane` — an

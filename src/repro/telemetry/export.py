@@ -137,7 +137,7 @@ def machine_fingerprint() -> Dict[str, Any]:
     """A stable, privacy-light identity for the measuring machine.
 
     The hostname enters only as a truncated hash — enough to tell two
-    ledger machines apart, not enough to leak the host name into
+    measuring machines apart, not enough to leak the host name into
     committed artifacts.
     """
     return {

@@ -24,8 +24,8 @@ Three cooperating pieces, each opt-in and ~free when off:
   (the default), the cost at each site is one attribute load + branch —
   the same discipline as ``tracer.enabled``.
 - Report helpers — :func:`hotspot_rows` / :func:`format_hotspots` turn
-  a captured profile into the table ``repro bench --profile`` and
-  ``repro fleet --profile-out`` print, and
+  a captured profile into the table ``repro fleet --profile-out``
+  prints, and
   :meth:`SpanProfiler.report` emits the JSON-friendly document the CLI
   writes.
 
@@ -44,7 +44,7 @@ import pstats
 import time
 import tracemalloc
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 try:  # POSIX only; peak-RSS reporting degrades to None elsewhere
     import resource
@@ -69,7 +69,7 @@ def peak_rss_kb() -> Optional[int]:
     """Process peak resident-set size in KiB (``None`` off-POSIX).
 
     ``ru_maxrss`` is kilobytes on Linux and bytes on macOS; normalized
-    here to KiB so ledger records compare across both.
+    here to KiB so reports compare across both.
     """
     if resource is None:  # pragma: no cover - non-POSIX
         return None

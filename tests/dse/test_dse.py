@@ -1,5 +1,7 @@
 """Unit tests for design spaces, searches, surrogates, and Pareto tools."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,11 @@ from repro.dse import (
     random_search,
 )
 from repro.dse.pareto import dominates, normalized_regret
+from repro.dse.search import GridStrategy
 from repro.dse.surrogate import expected_improvement
+from repro.engine.evaluator import EvalResult
 from repro.errors import SearchError
+from repro.telemetry import Tracer, use_tracer
 
 
 @pytest.fixture
@@ -106,6 +111,41 @@ class TestBaselines:
     def test_best_after(self, space):
         result = random_search(space, _objective, budget=30, seed=3)
         assert result.best_after(30) <= result.best_after(5)
+
+
+class TestNaNValues:
+    """A NaN value never wins: the trace's running best starts at +inf,
+    so the trace and ``best_value`` skip a NaN alike."""
+
+    VALUES = [math.nan, 2.0, 1.0]
+
+    def _check(self, strategy):
+        assert strategy.trace == [math.inf, 2.0, 1.0]
+        assert strategy.trace[-1] == strategy.best_value == 1.0
+        assert strategy.result().best_after(3) == 1.0
+
+    def _results(self, space):
+        return [EvalResult(candidate=space.config_at(i), value=value,
+                           key=str(i), cached=False, wall_time_s=0.0,
+                           seed=0)
+                for i, value in enumerate(self.VALUES)]
+
+    def test_ingest_path(self, space):
+        strategy = GridStrategy(space)
+        for result in self._results(space):
+            strategy.ingest(result.candidate, result.value)
+        self._check(strategy)
+
+    def test_tell_path(self, space):
+        strategy = GridStrategy(space)
+        strategy.tell(self._results(space))
+        self._check(strategy)
+
+    def test_traced_tell_path(self, space):
+        strategy = GridStrategy(space)
+        with use_tracer(Tracer()):
+            strategy.tell(self._results(space))
+        self._check(strategy)
 
 
 class TestGaussianProcess:

@@ -1,12 +1,14 @@
 """Multi-fidelity funnel: gates, edge cases, determinism, and the
 tier-equivalence contract at the search level."""
 
+import math
+
 import pytest
 
 from repro.dse import DesignSpace, Parameter
 from repro.dse.funnel import (FunnelConfig, FunnelStrategy,
-                              PromotionGate, build_inner, default_gates,
-                              funnel_search)
+                              PromotionGate, _apply_gate, build_inner,
+                              default_gates, funnel_search)
 from repro.dse.objectives import (codesign_space, codesign_space_xl,
                                   mission_objective, suite_objective)
 from repro.dse.search import GridStrategy, RandomStrategy, grid_search, \
@@ -104,6 +106,16 @@ class TestPromotionGate:
         for gate in three:
             product *= gate.top_fraction
         assert product == pytest.approx(0.01)
+
+    def test_nan_ranks_last_and_never_passes_a_threshold(self):
+        pool = [("nan", math.nan), ("c", 3.0), ("a", 1.0), ("b", 2.0),
+                ("a2", 1.0)]
+        ranked, forced = _apply_gate(PromotionGate(top_fraction=1.0),
+                                     pool)
+        assert ranked == ["a", "a2", "b", "c", "nan"] and not forced
+        passed, forced = _apply_gate(PromotionGate(threshold=math.inf),
+                                     pool)
+        assert passed == ["a", "a2", "b", "c"] and not forced
 
     def test_default_gates_reject_negative(self):
         with pytest.raises(SearchError):

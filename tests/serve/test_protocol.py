@@ -1,7 +1,6 @@
 """Unit tests for the daemon wire protocol (no sockets needed)."""
 
 import io
-import json
 
 import pytest
 

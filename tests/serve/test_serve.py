@@ -14,7 +14,6 @@ import time
 
 from repro.cli import main
 from repro.engine import Evaluator, ResultCache
-from repro.serve import ServeClient
 from repro.serve.protocol import encode_line, evaluator_context
 from repro.spec.registry import OBJECTIVES, SPACES
 

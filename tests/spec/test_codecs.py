@@ -13,7 +13,7 @@ import pytest
 
 from repro.benchmarksuite.runner import BenchmarkRow
 from repro.core.profile import DivergenceClass
-from repro.core.workload import Kernel, Stage, TaskGraph, Workload
+from repro.core.workload import Kernel, Stage, TaskGraph
 from repro.dse.space import DesignSpace, Parameter
 from repro.engine.fingerprint import fingerprint
 from repro.errors import SpecError

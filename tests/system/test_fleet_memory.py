@@ -6,7 +6,8 @@ the ``jobs > 1`` shared-memory shard transport (serial where shared
 memory is unavailable) change *where bytes live and move*, never what
 any result is — chunked == unchunked, shm == serial — plus the
 telemetry those paths publish and the errors they raise when
-misconfigured.
+misconfigured — and the arena's steady state across reused
+generations.
 """
 
 import numpy as np
@@ -122,3 +123,36 @@ class TestStudyTransport:
     def test_invalid_chunk_size_rejected(self, study):
         with pytest.raises(ConfigurationError):
             study.run(chunk_size=-1)
+
+
+class TestArenaSteadyState:
+    """Five fleet generations of 256 rollouts through one arena: after
+    the warm-up generation the arena never grows, every later request
+    is a reuse, and bytes allocated per rollout stay flat (S6)."""
+
+    GENERATIONS = 5
+    ROLLOUTS = 256
+
+    def test_reused_arena_stops_growing(self):
+        from repro.system.mission import MissionConfig
+
+        world = CircleWorld.random(dim=2, n_obstacles=24, extent=60.0,
+                                   radius_range=(1.0, 2.5), seed=5,
+                                   keep_corners_free=3.0)
+        config = MissionConfig(world=world, start=np.array([1.0, 1.0]),
+                               goal=np.array([58.0, 58.0]), laps=2)
+        tiers = uav_compute_tiers()
+        trials = -(-self.ROLLOUTS // len(tiers))  # ceil division
+        rollouts = FleetStudy(config=config, tiers=tiers, trials=trials,
+                              seed=0).rollouts()[:self.ROLLOUTS]
+        arena = BatchArena()
+        courses = {}
+        per_rollout, grow_bytes = [], []
+        for _ in range(self.GENERATIONS):
+            fleet = run_fleet(rollouts, course_cache=courses,
+                              arena=arena)
+            per_rollout.append(fleet.alloc_bytes_per_rollout)
+            grow_bytes.append(arena.grow_bytes)
+        assert max(per_rollout) / min(per_rollout) <= 1.1, per_rollout
+        assert grow_bytes[1:] == [grow_bytes[0]] * (self.GENERATIONS - 1)
+        assert arena.reuses / (arena.reuses + arena.grows) == 0.8

@@ -261,6 +261,37 @@ class TestFleetCommand:
         assert "--jobs" in capsys.readouterr().err
 
 
+class TestFleetProfileOut:
+    def test_profile_reports_phases_and_alloc_counters(
+            self, tmp_path, capsys):
+        profile_path = tmp_path / "fleet_profile.json"
+        assert main(["fleet", "--laps", "2", "--trials", "4",
+                     "--profile-out", str(profile_path)]) == 0
+        out = capsys.readouterr().out
+        assert "Per-phase profile" in out
+        assert "Merged hotspots" in out
+        assert "B/rollout" in out
+
+        document = json.loads(profile_path.read_text())
+        assert document["schema"] == "repro-profile/1"
+        names = [r["name"] for r in document["profile"]["records"]]
+        assert names == ["fleet.plan", "fleet.gather", "fleet.price",
+                         "fleet.solve", "fleet.emit"]
+        # every phase span timed; at least one owns a cProfile capture
+        assert all(r["wall_s"] >= 0 for r in
+                   document["profile"]["records"])
+        assert any(r["cpu_captured"] for r in
+                   document["profile"]["records"])
+        assert document["profile"]["hotspots"]
+        # exact allocation accounting from both instrumented kernels
+        sites = document["alloc_sites"]
+        assert sites["system.fleet.run_fleet"]["bytes"] > 0
+        assert sites["hw.batch.batch_estimate"]["bytes"] > 0
+        assert document["alloc_bytes"] > 0
+        assert document["alloc_bytes_per_rollout"] > 0
+        assert document["provenance"]["git_sha"]
+
+
 class TestTraceCommand:
     def test_pipeline_trace_round_trip(self, tmp_path, capsys):
         trace = tmp_path / "trace.json"
