@@ -87,11 +87,11 @@ class ServeClient:
                  ) -> List[Dict[str, Any]]:
         """Send many requests before reading any response.
 
-        The server dispatches pipelined requests concurrently and
-        replies in request order, so a client can park its whole
-        working set on the coalescer in one burst instead of paying a
-        flush round-trip per request.  Returns one envelope per
-        request, in order.
+        The daemon admits every line of a read at once, parks the
+        misses of all of them on the coalescer, and replies in request
+        order, so a client can park its whole working set in one burst
+        instead of paying a flush round-trip per request.  Returns one
+        envelope per request, in order.
         """
         if self._closed:
             raise ServeError("client is closed")

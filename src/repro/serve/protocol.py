@@ -35,6 +35,7 @@ Candidate decoding goes through the same spec registries as the CLI
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
@@ -44,7 +45,7 @@ from repro.spec import schema
 
 __all__ = ["MAX_LINE_BYTES", "Submission", "decode_line",
            "decode_submission", "encode_line", "error_response",
-           "evaluator_context"]
+           "evaluator_context", "resolve_space"]
 
 #: Upper bound on one wire line; a client streaming more than this is
 #: malformed (or malicious) and gets a ``bad_request``, not a swelling
@@ -87,6 +88,22 @@ class Submission:
     no_coalesce: bool = False
 
 
+@functools.lru_cache(maxsize=None)
+def resolve_space(name: str) -> Any:
+    """The design space registered as ``name``, built once per process.
+
+    Building ``codesign_xl`` costs more than pricing one candidate, and
+    a daemon resolves a space on every indexed ``submit``.  Spaces are
+    never mutated and ``config_at`` returns a fresh dict, so sharing one
+    instance changes no served value.  An unknown name raises the
+    ``$.space`` :class:`~repro.errors.SpecError` on every call;
+    ``lru_cache`` does not cache exceptions.
+    """
+    from repro.spec.registry import SPACES
+
+    return SPACES.build(name, "$.space")
+
+
 def decode_line(raw: bytes) -> Mapping[str, Any]:
     """One wire line -> request mapping (validates op)."""
     try:
@@ -123,7 +140,7 @@ def decode_submission(payload: Mapping[str, Any]) -> Submission:
     through the SPACES registry) — both land on the exact config dicts
     the registries produce, so fingerprints match programmatic runs.
     """
-    from repro.spec.registry import OBJECTIVES, SPACES
+    from repro.spec.registry import OBJECTIVES
 
     schema.check_keys(payload, _SUBMIT_KEYS, "$")
     objective = schema.as_str(
@@ -150,7 +167,7 @@ def decode_submission(payload: Mapping[str, Any]) -> Submission:
     else:
         space_name = schema.as_str(
             schema.get_field(payload, "space", "$"), "$.space")
-        space = SPACES.build(space_name, "$.space")
+        space = resolve_space(space_name)
         indices = schema.as_sequence(
             schema.get_field(payload, "indices", "$"), "$.indices")
         candidates = []
@@ -172,9 +189,8 @@ def decode_submission(payload: Mapping[str, Any]) -> Submission:
 def read_frame(handle: Any) -> Optional[bytes]:
     """Read one wire line from a file-like object (None on EOF).
 
-    Shared by the blocking client; the asyncio server uses
-    ``StreamReader.readline`` with the same :data:`MAX_LINE_BYTES`
-    bound.
+    Used by the blocking client; the daemon frames each socket read
+    itself, with the same :data:`MAX_LINE_BYTES` bound.
     """
     line = handle.readline(MAX_LINE_BYTES + 1)
     if not line:

@@ -9,14 +9,23 @@ out of many small requests.
 One :class:`EvalServer` owns, per objective, a :class:`Lane` — an
 :class:`~repro.engine.evaluator.Evaluator` built with the CLI's exact
 ``dse-codesign`` context plus a *pending set* keyed by cache key.  A
-``submit`` answers cache hits immediately and parks each miss as a
-waiter on the pending entry for its key (entries dedup across clients:
+``submit`` answers cache hits immediately and parks the request on
+the pending entry of each of its misses (entries dedup across clients:
 two tenants asking for the same candidate share one oracle slot).  The
 pending set flushes as one ``map_batch`` call when it reaches
 ``max_batch`` occupancy or when the oldest entry has waited
 ``max_wait_ms`` — ten clients asking for 100 candidates each get
 priced as one 1k-candidate kernel call instead of ten sub-critical
 ones.
+
+Connections: the daemon frames each socket read into lines itself and
+dispatches every complete line at once, in order.  ``ping``,
+``stats``, ``shutdown``, rejections and all-hit submits get their
+response there and then; a submit with misses gets one future, which
+the flush pricing its last miss resolves.  No request has a task of
+its own, except a ``no_coalesce`` one (the per-request baseline).
+Responses leave in request order, and each in-order run of finished
+responses goes out with one ``write``.
 
 Equivalence contract: the server changes *when* and *with whom*
 candidates are priced, never *what* is priced.  Keys come from the
@@ -46,14 +55,15 @@ evaluators count ``engine.*`` into private registries, one per lane.
 from __future__ import annotations
 
 import asyncio
-import itertools
 import logging
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Set
+from typing import (Any, Deque, Dict, Iterable, List, Mapping, Optional,
+                    Set, Union)
 
 from repro.engine import Evaluator, ResultCache
-from repro.errors import ReproError, ServeError, SpecError
+from repro.errors import ServeError, SpecError
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
     Submission,
@@ -68,6 +78,10 @@ from repro.telemetry import MetricsRegistry
 __all__ = ["ServeConfig", "EvalServer"]
 
 _log = logging.getLogger(__name__)
+
+#: What dispatching one wire line yields: the response itself, or a
+#: future of it while the request's misses are being priced.
+Reply = Union[Dict[str, Any], "asyncio.Future[Dict[str, Any]]"]
 
 
 @dataclass(frozen=True)
@@ -120,16 +134,52 @@ class ServeConfig:
                 f"max_inflight must be >= 1 (got {self.max_inflight})")
 
 
+@dataclass(eq=False)
+class _Request:
+    """One admitted submit with misses still being priced.
+
+    It is parked on the pending entry of each of its ``fresh`` keys.
+    Every flush that prices one of them counts ``outstanding`` down;
+    the last one resolves ``future`` with the finished response.  A
+    failed flush resolves it with the ``internal`` envelope at once.
+    """
+
+    submission: Submission
+    keys: List[str]
+    values: Dict[str, Any]
+    arrival: float
+    future: "asyncio.Future[Dict[str, Any]]"
+    fresh: Set[str] = field(default_factory=set)
+    outstanding: int = 0
+
+
 @dataclass
 class _Pending:
-    """One parked cache miss: the candidate plus everyone waiting on
-    it.  Waiter futures are per-request, so a disconnected tenant's
-    future going unread never blocks the batch completing for the
-    rest."""
+    """One parked cache miss: the candidate plus every request waiting
+    on it.  A disconnected tenant's request still counts down, so its
+    unread response never holds up the rest of the batch."""
 
     candidate: Mapping[str, Any]
-    waiters: List["asyncio.Future[Any]"] = field(default_factory=list)
-    sources: Set[int] = field(default_factory=set)
+    requests: List[_Request] = field(default_factory=list)
+
+
+class _Connection:
+    """One client's replies in request order.
+
+    Each outbox item is a finished response or a future of one; the
+    delivery loop writes every in-order run of finished ones with one
+    ``write``.
+    """
+
+    def __init__(self) -> None:
+        self.outbox: Deque[Reply] = deque()
+        self.reading = True
+        self.closing = False
+        self.wake = asyncio.Event()  # set on each push and at EOF
+
+    def push(self, reply: Reply) -> None:
+        self.outbox.append(reply)
+        self.wake.set()
 
 
 class Lane:
@@ -157,7 +207,6 @@ class EvalServer:
             metrics=self.metrics)
         self._lanes: Dict[str, Lane] = {}
         self._inflight: Dict[str, int] = {}
-        self._submissions = itertools.count()
         self._oracle = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="serve-oracle")
         self._flushes: Set["asyncio.Task[None]"] = set()
@@ -263,56 +312,30 @@ class EvalServer:
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         """One connection: requests may be pipelined (a client can
-        write many lines before reading), each is dispatched as its
-        own task, and responses are delivered in request order.
-        Pipelining is what lets a single client park many sub-critical
-        submissions on the coalescer at once instead of paying one
-        flush round-trip per request."""
-        loop = asyncio.get_running_loop()
-        queue: "asyncio.Queue[Optional[asyncio.Task]]" = asyncio.Queue()
-        closing = asyncio.Event()
-
-        async def deliver() -> None:
-            while True:
-                task = await queue.get()
-                if task is None:
-                    break
-                response = await task
-                delivered = await self._reply(writer, response)
-                if not delivered or response.get("op") == "shutdown":
-                    closing.set()
-                    break
-
-        delivery = loop.create_task(deliver())
+        write many lines before reading), and responses are delivered
+        in request order.  Every complete line of a read is dispatched
+        at once; a submit needs no task of its own.  Pipelining is what
+        lets a single client park many sub-critical submissions on the
+        coalescer at once instead of paying one flush round-trip per
+        request."""
+        connection = _Connection()
+        delivery = asyncio.get_running_loop().create_task(
+            self._deliver(connection, writer))
         handler = asyncio.current_task()
         self._connections[handler] = writer
         try:
-            while not closing.is_set():
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    future: "asyncio.Future[Dict[str, Any]]" = \
-                        loop.create_future()
-                    future.set_result(error_response(
-                        "?", "bad_request",
-                        f"wire line exceeds {MAX_LINE_BYTES} bytes"))
-                    queue.put_nowait(future)  # type: ignore[arg-type]
-                    break
-                if not line:
-                    break
-                queue.put_nowait(loop.create_task(
-                    self._dispatch(line)))
+            await self._read(reader, connection)
         except ConnectionError:
             pass
         finally:
-            queue.put_nowait(None)
+            connection.reading = False
+            connection.wake.set()
             try:
                 await delivery
             except ConnectionError:
                 pass
-            while not queue.empty():  # undelivered after shutdown
-                leftover = queue.get_nowait()
-                if leftover is not None:
+            for leftover in connection.outbox:  # undelivered after shutdown
+                if isinstance(leftover, asyncio.Future):
                     leftover.cancel()
             writer.close()
             try:
@@ -321,20 +344,78 @@ class EvalServer:
                 pass
             del self._connections[handler]
 
-    async def _reply(self, writer: asyncio.StreamWriter,
-                     response: Mapping[str, Any]) -> bool:
-        """Write one response line; a disconnected peer's response is
-        counted and dropped (its batch results are already cached for
-        everyone else)."""
-        try:
-            writer.write(encode_line(response))
-            await writer.drain()
-            return True
-        except (ConnectionError, OSError):
-            self.metrics.counter("serve.dropped_responses").inc()
-            return False
+    async def _read(self, reader: asyncio.StreamReader,
+                    connection: _Connection) -> None:
+        """Frame the byte stream into lines and dispatch each one.  A
+        final line without a newline is answered at EOF; a line longer
+        than :data:`MAX_LINE_BYTES` is answered with ``bad_request``
+        after everything before it, and ends the connection."""
+        partial = bytearray()
+        while not connection.closing:
+            data = await reader.read(MAX_LINE_BYTES)
+            if not data:
+                if partial:
+                    connection.push(self._dispatch(bytes(partial)))
+                return
+            lines: List[bytes] = []
+            if b"\n" in data:
+                lines = data.split(b"\n")
+                if partial:
+                    lines[0] = bytes(partial + lines[0])
+                partial = bytearray(lines.pop())
+            else:
+                partial += data
+            for line in lines:
+                if len(line) > MAX_LINE_BYTES:
+                    break
+                connection.push(self._dispatch(line))
+            else:
+                if len(partial) <= MAX_LINE_BYTES:
+                    continue
+            connection.push(error_response(
+                "?", "bad_request",
+                f"wire line exceeds {MAX_LINE_BYTES} bytes"))
+            return
 
-    async def _dispatch(self, line: bytes) -> Dict[str, Any]:
+    async def _deliver(self, connection: _Connection,
+                       writer: asyncio.StreamWriter) -> None:
+        """Write replies in request order until reading has stopped and
+        the outbox is empty, the peer is gone, or a ``shutdown`` was
+        acknowledged."""
+        outbox = connection.outbox
+        while outbox or connection.reading:
+            if not outbox:
+                connection.wake.clear()
+                await connection.wake.wait()
+                continue
+            if isinstance(outbox[0], asyncio.Future):
+                await outbox[0]
+            ready: List[Dict[str, Any]] = []
+            while outbox and not connection.closing:
+                head = outbox[0]
+                if isinstance(head, asyncio.Future):
+                    if not head.done():
+                        break
+                    head = head.result()
+                outbox.popleft()
+                ready.append(head)
+                if head.get("op") == "shutdown":
+                    connection.closing = True
+            try:
+                writer.write(b"".join(encode_line(response)
+                                      for response in ready))
+                await writer.drain()
+            except (ConnectionError, OSError):
+                # A disconnected peer's responses are counted and
+                # dropped; its batch results are already cached for
+                # everyone else.
+                self.metrics.counter("serve.dropped_responses").inc(
+                    len(ready))
+                connection.closing = True
+            if connection.closing:
+                return
+
+    def _dispatch(self, line: bytes) -> Reply:
         try:
             payload = decode_line(line)
         except SpecError as error:
@@ -351,11 +432,14 @@ class EvalServer:
             submission = decode_submission(payload)
         except SpecError as error:
             return error_response("submit", "bad_request", str(error))
-        return await self._submit(submission)
+        return self._submit(submission)
 
     # -- the coalescer ------------------------------------------------
 
-    async def _submit(self, submission: Submission) -> Dict[str, Any]:
+    def _submit(self, submission: Submission) -> Reply:
+        """Admit one submission.  A rejection or an all-hit request is
+        answered at once; otherwise the reply is a future that the
+        flush pricing its last miss resolves."""
         loop = asyncio.get_running_loop()
         arrival = loop.time()
         if self.draining:
@@ -392,44 +476,51 @@ class EvalServer:
         hits = sum(1 for key in keys if key in resolved)
         self._tenant_count(tenant, "hits", hits)
         self._tenant_count(tenant, "misses", len(keys) - hits)
+        if hits == len(keys):
+            return self._respond(submission, keys, resolved, (),
+                                 arrival)
         self._inflight[tenant] = inflight + count
-        try:
-            if submission.no_coalesce:
-                fresh = await self._price_direct(lane, submission,
-                                                 keys, resolved)
-            else:
-                fresh = await self._price_coalesced(lane, submission,
-                                                    keys, resolved)
-        except ReproError as error:
-            return error_response("submit", "internal", str(error))
-        finally:
-            remaining = self._inflight.get(tenant, 0) - count
-            if remaining > 0:
-                self._inflight[tenant] = remaining
-            else:
-                self._inflight.pop(tenant, None)
+        if submission.no_coalesce:
+            return loop.create_task(self._price_direct(
+                lane, submission, keys, resolved, arrival))
+        return self._park(lane, submission, keys, resolved, arrival)
+
+    def _release(self, submission: Submission) -> None:
+        """Take a finished request's candidates out of its tenant's
+        in-flight count."""
+        tenant = submission.tenant
+        remaining = self._inflight.get(tenant, 0) \
+            - len(submission.candidates)
+        if remaining > 0:
+            self._inflight[tenant] = remaining
+        else:
+            self._inflight.pop(tenant, None)
+
+    def _respond(self, submission: Submission, keys: List[str],
+                 values: Mapping[str, Any], fresh: Iterable[str],
+                 arrival: float) -> Dict[str, Any]:
+        """The success envelope.  The first occurrence of a ``fresh``
+        key was priced for this request; every other result is
+        ``cached``."""
+        unreported = set(fresh)
         results = []
         for key, candidate in zip(keys, submission.candidates):
-            if key in fresh:  # first occurrence: freshly priced
-                value = resolved[key] = fresh.pop(key)
-                cached = False
-            else:
-                value, cached = resolved[key], True
+            cached = key not in unreported
+            unreported.discard(key)
             results.append({"candidate": dict(candidate),
-                            "value": value, "key": key,
+                            "value": values[key], "key": key,
                             "cached": cached})
         self.metrics.histogram("serve.request_latency_s").record(
-            loop.time() - arrival)
+            asyncio.get_running_loop().time() - arrival)
         self.metrics.counter("serve.requests").inc()
-        self.metrics.counter("serve.candidates").inc(count)
+        self.metrics.counter("serve.candidates").inc(len(keys))
         return {"ok": True, "op": "submit",
                 "objective": submission.objective,
-                "tenant": tenant, "results": results}
+                "tenant": submission.tenant, "results": results}
 
     async def _price_direct(self, lane: Lane, submission: Submission,
-                            keys: List[str],
-                            resolved: Mapping[str, Any]
-                            ) -> Dict[str, Any]:
+                            keys: List[str], resolved: Dict[str, Any],
+                            arrival: float) -> Dict[str, Any]:
         """Coalescing disabled: price this request's misses as their
         own batch (the benchmark baseline — keys and values are
         unchanged, only the batch population shrinks)."""
@@ -437,8 +528,6 @@ class EvalServer:
         for key, candidate in zip(keys, submission.candidates):
             if key not in resolved and key not in misses:
                 misses[key] = candidate
-        if not misses:
-            return {}
         loop = asyncio.get_running_loop()
         try:
             outcomes = await loop.run_in_executor(
@@ -447,36 +536,35 @@ class EvalServer:
         except Exception as error:
             _log.exception("oracle failed on a %d-candidate %s batch",
                            len(misses), lane.objective_name)
-            raise ServeError(f"oracle failed: {error}") from error
+            return error_response("submit", "internal",
+                                  f"oracle failed: {error}")
+        finally:
+            self._release(submission)
         self.metrics.counter("serve.flushes").inc()
         self.metrics.histogram("serve.batch_occupancy").record(
             len(misses))
-        return {key: outcome.value
-                for key, outcome in zip(misses, outcomes)}
+        for key, outcome in zip(misses, outcomes):
+            resolved[key] = outcome.value
+        return self._respond(submission, keys, resolved, misses,
+                             arrival)
 
-    async def _price_coalesced(self, lane: Lane,
-                               submission: Submission,
-                               keys: List[str],
-                               resolved: Mapping[str, Any]
-                               ) -> Dict[str, Any]:
-        """Park this request's misses on the shared pending set and
-        wait for the flush(es) that price them."""
+    def _park(self, lane: Lane, submission: Submission,
+              keys: List[str], resolved: Dict[str, Any],
+              arrival: float) -> "asyncio.Future[Dict[str, Any]]":
+        """Park this request's misses on the shared pending set; the
+        returned future resolves with its response."""
         loop = asyncio.get_running_loop()
-        source = next(self._submissions)
-        waiters: Dict[str, "asyncio.Future[Any]"] = {}
+        request = _Request(submission, keys, resolved, arrival,
+                           loop.create_future())
         for key, candidate in zip(keys, submission.candidates):
-            if key in resolved or key in waiters:
+            if key in resolved or key in request.fresh:
                 continue
             entry = lane.pending.get(key)
             if entry is None:
-                entry = _Pending(candidate=candidate)
-                lane.pending[key] = entry
-            entry.sources.add(source)
-            future: "asyncio.Future[Any]" = loop.create_future()
-            entry.waiters.append(future)
-            waiters[key] = future
-        if not waiters:
-            return {}
+                entry = lane.pending[key] = _Pending(candidate)
+            entry.requests.append(request)
+            request.fresh.add(key)
+        request.outstanding = len(request.fresh)
         self._set_queue_gauge()
         if len(lane.pending) >= self.config.max_batch:
             self._schedule_flush(lane)
@@ -484,8 +572,14 @@ class EvalServer:
             lane.timer = loop.call_later(
                 self.config.max_wait_ms / 1000.0,
                 self._schedule_flush, lane)
-        values = await asyncio.gather(*waiters.values())
-        return dict(zip(waiters, values))
+        return request.future
+
+    def _settle(self, request: _Request,
+                response: Dict[str, Any]) -> None:
+        request.outstanding = 0
+        self._release(request.submission)
+        if not request.future.done():  # cancelled if the peer left
+            request.future.set_result(response)
 
     def _schedule_flush(self, lane: Lane) -> None:
         if lane.timer is not None:
@@ -498,7 +592,7 @@ class EvalServer:
 
     async def _flush(self, lane: Lane) -> None:
         """Price up to ``max_batch`` pending entries as one oracle
-        batch and wake every (still-listening) waiter."""
+        batch and count down every request waiting on them."""
         if lane.timer is not None:
             lane.timer.cancel()
             lane.timer = None
@@ -512,10 +606,8 @@ class EvalServer:
         self.metrics.counter("serve.flushes").inc()
         self.metrics.histogram("serve.batch_occupancy").record(
             len(entries))
-        sources: Set[int] = set()
-        for entry in entries:
-            sources |= entry.sources
-        if len(sources) > 1:
+        if len({request for entry in entries
+                for request in entry.requests}) > 1:
             self.metrics.counter("serve.coalesced_batches").inc()
             self.metrics.counter("serve.coalesced_candidates").inc(
                 len(entries))
@@ -525,20 +617,28 @@ class EvalServer:
                 self._oracle, lane.evaluator.map_batch,
                 [entry.candidate for entry in entries])
         except Exception as error:
-            # Whatever the objective raised, every waiter gets an
-            # answer now rather than its client timeout.
+            # Whatever the objective raised, every waiting request gets
+            # an answer now rather than its client timeout.
             _log.exception("oracle failed on a %d-candidate %s flush",
                            len(entries), lane.objective_name)
-            failure = ServeError(f"oracle failed: {error}")
+            failure = error_response("submit", "internal",
+                                     f"oracle failed: {error}")
             for entry in entries:
-                for future in entry.waiters:
-                    if not future.done():
-                        future.set_exception(failure)
+                for request in entry.requests:
+                    if request.outstanding:
+                        self._settle(request, failure)
             return
-        for entry, outcome in zip(entries, outcomes):
-            for future in entry.waiters:
-                if not future.done():
-                    future.set_result(outcome.value)
+        for (key, entry), outcome in zip(taken, outcomes):
+            for request in entry.requests:
+                if not request.outstanding:  # settled by a failure
+                    continue
+                request.values[key] = outcome.value
+                request.outstanding -= 1
+                if not request.outstanding:
+                    self._settle(request, self._respond(
+                        request.submission, request.keys,
+                        request.values, request.fresh,
+                        request.arrival))
         if len(lane.pending) >= self.config.max_batch:
             self._schedule_flush(lane)
 

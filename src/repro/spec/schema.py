@@ -13,7 +13,8 @@ of them.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Optional, Tuple
+from collections.abc import Iterable, Mapping
+from typing import Any, Optional, Tuple
 
 from repro.errors import SpecError
 

@@ -14,7 +14,12 @@ import time
 
 from repro.cli import main
 from repro.engine import Evaluator, ResultCache
-from repro.serve.protocol import encode_line, evaluator_context
+from repro.serve.protocol import (
+    MAX_LINE_BYTES,
+    encode_line,
+    evaluator_context,
+    resolve_space,
+)
 from repro.spec.registry import OBJECTIVES, SPACES
 
 SPACE = SPACES.build("codesign", "$")
@@ -387,6 +392,113 @@ class TestRobustness:
 
 def _failing_objective(candidate):
     raise ValueError("objective blew up")
+
+
+def _replies(sock):
+    """Every reply line until the daemon closes the connection."""
+    return [json.loads(line) for line in sock.makefile("rb")]
+
+
+class TestPipelinedWire:
+    """The connection handler's wire contract, over one raw socket."""
+
+    def test_pipelined_replies_come_back_in_request_order(self, daemon):
+        handle = daemon(max_wait_ms=5.0)
+        indices = [i * 7 % SPACE.size for i in range(2000)]
+        lines = [encode_line({"op": "submit", "space": "codesign",
+                              "indices": [index], "tenant": "pipeliner"})
+                 for index in indices]
+        lines[500:500] = [encode_line({"op": "ping"})]
+        lines[1000:1000] = [encode_line({"op": "stats"})]
+        lines[1500:1500] = [b"not json at all\n"]
+        payload = b"".join(lines)
+        assert len(payload) > 128 * 1024  # straddles many reads
+        sock = socket.create_connection(("127.0.0.1", handle.port))
+        sender = threading.Thread(target=sock.sendall, args=(payload,))
+        try:
+            sender.start()
+            reader = sock.makefile("rb")
+            replies = [json.loads(reader.readline()) for _ in lines]
+            sender.join(timeout=60)
+        finally:
+            sock.close()
+        assert [r["op"] for r in replies[500:1501:500]] == \
+            ["ping", "stats", "?"]
+        assert replies[1500]["error"] == "bad_request"
+        submits = replies[:500] + replies[501:1000] \
+            + replies[1001:1500] + replies[1501:]
+        expected = serial_values(range(SPACE.size))
+        assert all(r["ok"] and r["op"] == "submit" for r in submits)
+        assert [r["results"][0]["value"] for r in submits] == \
+            [expected[index] for index in indices]
+
+    def test_final_line_without_newline_is_answered(self, daemon):
+        handle = daemon(max_wait_ms=5.0)
+        sock = socket.create_connection(("127.0.0.1", handle.port))
+        try:
+            sock.sendall(encode_line({"op": "ping"})
+                         + encode_line({"op": "submit",
+                                        "space": "codesign",
+                                        "indices": [11]})[:-1])
+            sock.shutdown(socket.SHUT_WR)
+            replies = _replies(sock)
+        finally:
+            sock.close()
+        assert [r["op"] for r in replies] == ["ping", "submit"]
+        assert replies[1]["results"][0]["value"] == serial_values([11])[0]
+
+    def test_over_long_line_is_refused_after_earlier_replies(self,
+                                                             daemon):
+        handle = daemon(max_wait_ms=5.0)
+        sock = socket.create_connection(("127.0.0.1", handle.port))
+        try:
+            # No newline: the daemon has read every byte by the time
+            # the line is over the bound, so it closes cleanly.
+            sock.sendall(encode_line({"op": "ping"})
+                         + encode_line({"op": "submit",
+                                        "space": "codesign",
+                                        "indices": [12]})
+                         + b"x" * (MAX_LINE_BYTES + 1))
+            replies = _replies(sock)  # ends at the daemon's EOF
+        finally:
+            sock.close()
+        assert [r["op"] for r in replies] == ["ping", "submit", "?"]
+        assert replies[1]["results"][0]["value"] == serial_values([12])[0]
+        assert replies[2]["error"] == "bad_request"
+        assert replies[2]["detail"] == \
+            f"wire line exceeds {MAX_LINE_BYTES} bytes"
+        with handle.client() as client:
+            assert client.ping()
+
+
+class TestSpaceBuilds:
+    def test_a_daemon_builds_each_space_once(self, daemon, monkeypatch):
+        entry = SPACES.entry("codesign_xl")
+        builds = []
+        original = entry.builder
+
+        def counting(**kwargs):
+            builds.append(kwargs)
+            return original(**kwargs)
+
+        monkeypatch.setattr(entry, "builder", counting)
+        resolve_space.cache_clear()
+        try:
+            handle = daemon(max_wait_ms=5.0)
+            with handle.client() as client:
+                envelopes = client.pipeline([
+                    client.submit_message(space="codesign_xl",
+                                          indices=[i * 4099])
+                    for i in range(50)])
+                unknown = client.submit(space="no_such_space",
+                                        indices=[0])
+        finally:
+            resolve_space.cache_clear()
+        assert all(envelope["ok"] for envelope in envelopes)
+        assert len(builds) == 1
+        assert unknown["ok"] is False
+        assert unknown["error"] == "bad_request"
+        assert unknown["detail"].startswith("$.space:")
 
 
 class TestOracleFailure:
